@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ContractViolation, LimitsFormatError
+from .errors import ContractViolation, LimitsFormatError, read_text
 
 PROXIMITIES = ("near_bose", "near_fermi")
 
@@ -50,8 +50,8 @@ def propagate_first_order(epsilon_composite: float, n: int) -> float:
     """Constituent deviation at first order: epsilon / n^2."""
     if n < 1:
         raise ContractViolation("n must be >= 1")
-    if epsilon_composite <= 0:
-        raise ContractViolation("epsilon must be positive")
+    if not (math.isfinite(epsilon_composite) and epsilon_composite > 0):
+        raise ContractViolation("epsilon must be positive and finite")
     if epsilon_composite > FIRST_ORDER_HONEST_RANGE:
         warnings.warn(
             f"epsilon={epsilon_composite} is large; first-order propagation is "
@@ -116,7 +116,7 @@ def _parse_line(parts: list[str]) -> BoundRecord:
 def ingest_limits(path) -> list[BoundRecord]:
     """Read a tab-separated limits file; '#' lines are comments.  Every
     malformed or invariant-violating line is reported with its number."""
-    text = Path(path).read_text()
+    text = read_text(path)
     records = []
     diagnostics = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -12,7 +12,7 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import composite as composite_mod
 from . import fock, wick
-from .errors import ContractViolation, ParseError, QuonError
+from .errors import ContractViolation, ParseError, QuonError, read_text
 from .permutations import RepCoefficients, preset_rep
 from .wick import ModeLabel
 
@@ -41,7 +41,7 @@ def _parse_rep(raw: str, n: int) -> RepCoefficients:
     if not path.exists():
         raise ParseError(f"rep must be 'sym', 'antisym', or a file; {raw!r} not found")
     coeffs = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -53,6 +53,9 @@ def _parse_rep(raw: str, n: int) -> RepCoefficients:
             coeff = Fraction(parts[1])
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{raw}:{lineno}: {exc}") from None
+        arity = len(next(iter(coeffs), images))
+        if len(images) != arity:
+            raise ParseError(f"{raw}:{lineno}: {len(images)} images, earlier lines have {arity}")
         coeffs[images] = coeff
     if not coeffs:
         raise ParseError(f"{raw}: no coefficients found")
@@ -64,7 +67,7 @@ def _parse_rep(raw: str, n: int) -> RepCoefficients:
 
 def _parse_matrix(path: str) -> list[list[int]]:
     rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -132,10 +135,8 @@ def _cmd_composite(args) -> int:
     spec = composite_mod.CompositeSpec(
         n=args.n, internal_labels=tuple(range(1, args.n + 1)), rep=rep
     )
-    aligned = composite_mod.two_composite_scalar(spec, ("t1", "t2"), ("t1", "t2"))
-    swapped = composite_mod.two_composite_scalar(spec, ("t1", "t2"), ("t2", "t1"))
+    aligned, swapped, exponent = composite_mod.exchange_law(spec)
     cross = composite_mod.cross_term_magnitude(spec, shared_tags=args.overlap)
-    exponent = composite_mod.effective_exponent(spec)
     print(f"direct\t{aligned.direct}")
     print(f"exchange\t{swapped.exchange}")
     print(f"cross\t{cross}")

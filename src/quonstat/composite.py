@@ -14,24 +14,28 @@ two-composite states splits over pairing diagrams by block structure:
              composites; vanishes identically when the four tags are
              pairwise distinct and is only nonzero under forced overlap.
 
-For n <= 4 every surviving pairing of the 2n operators is enumerated and
-classified (the full-oracle path).  For n = 5..6 the identities proven
-exhaustively on the oracle range are applied to DP-evaluated
-normalization polynomials instead; beyond that the operation refuses.
+For n <= 4 the product is contracted in full by ``fock.contract``: the
+2n left operators act as quon annihilators on the sparse right product
+state, each residual operator remembering which right composite it came
+from, so every surviving pairing is classified on the way.  With four
+distinct tags the residual support after d annihilations is at most
+(2n - d)! words.
+
+For n = 5..6 the identities verified on the full-contraction range are
+applied to normalization polynomials instead; beyond that the operation
+refuses.
 """
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Hashable, Sequence
 
 from .errors import CapExceeded, ContractViolation, TheoremViolation
-from .fock import StateVector, build_state, normalization_poly, tensor
+from .fock import StateVector, build_state, contract, normalization_poly, tensor
 from .permutations import Permutation, RepCoefficients, inversion_number
 from .qpoly import QPolynomial
 from .wick import ModeLabel
 
-MAX_FULL_ORACLE_N = 4    # (2n)! pairing enumeration: 8! at n=4
+MAX_FULL_ORACLE_N = 4    # full contraction of the 2n-operator product states
 MAX_COMPOSITE_N = 6      # factorized DP path beyond the oracle range
 
 BOSON = "boson"
@@ -87,110 +91,22 @@ def _plain_labels(spec: CompositeSpec) -> list[ModeLabel]:
     return [ModeLabel(index) for index in spec.internal_labels]
 
 
-def _scaled_int_terms(state: StateVector, intern: dict) -> tuple[list, int]:
-    scale = 1
-    for c in state.terms.values():
-        scale = math.lcm(scale, c.denominator)
-    terms = []
-    for w, c in state.terms.items():
-        ids = tuple(intern.setdefault(lab, len(intern)) for lab in w)
-        terms.append((ids, int(c * scale)))
-    return terms, scale
-
-
 def _classified_scalar(
     spec: CompositeSpec,
     left_tags: Sequence[Hashable],
     right_tags: Sequence[Hashable],
 ) -> TwoCompositeResult:
-    """Full-oracle path: enumerate every surviving pairing of the 2n left
-    operators with the 2n right operators, bucket by block structure."""
+    """Full-contraction path: annihilate the 2n left operators from the
+    right product state, bucketed by how many of the first left
+    composite's n operators land in the first right composite."""
     n = spec.n
     t1, t2 = left_tags
     u1, u2 = right_tags
     left = tensor(composite_word(spec, t1), composite_word(spec, t2))
     right = tensor(composite_word(spec, u1), composite_word(spec, u2))
-
-    intern: dict = {}
-    left_terms, left_scale = _scaled_int_terms(left, intern)
-    right_terms, right_scale = _scaled_int_terms(right, intern)
-
-    m = 2 * n
-    width = m * (m - 1) // 2 + 1
-    buckets = {0: [0] * width, 1: [0] * width, 2: [0] * width}  # direct/exchange/cross
-
-    right_indexed = []
-    for ids, c in right_terms:
-        positions: dict[int, list[int]] = {}
-        for j, lab in enumerate(ids):
-            positions.setdefault(lab, []).append(j)
-        multiplicity = max(len(v) for v in positions.values())
-        right_indexed.append((positions, c, multiplicity))
-
-    for wl, cl in left_terms:
-        for positions, cr, multiplicity in right_indexed:
-            coeff = cl * cr
-            if multiplicity == 1:
-                _match_unique(wl, positions, coeff, buckets, n)
-            else:
-                _match_backtrack(wl, positions, coeff, buckets, n)
-
-    scale = Fraction(1, left_scale * right_scale)
-    direct, exchange, cross = (
-        scale * QPolynomial(buckets[k]) for k in (0, 1, 2)
-    )
-    return TwoCompositeResult(direct=direct, exchange=exchange, cross=cross, n=n)
-
-
-def _match_unique(wl, positions, coeff, buckets, n):
-    # every label occurs once on the right: at most one surviving pairing
-    used = 0
-    inv = 0
-    first_low = 0
-    for i, lab in enumerate(wl):
-        cols = positions.get(lab)
-        if cols is None:
-            return
-        j = cols[0]
-        bit = 1 << j
-        if used & bit:
-            return
-        inv += (used >> (j + 1)).bit_count()
-        used |= bit
-        if i < n and j < n:
-            first_low += 1
-    cls = 0 if first_low == n else 1 if first_low == 0 else 2
-    buckets[cls][inv] += coeff
-
-
-def _match_backtrack(wl, positions, coeff, buckets, n):
-    # repeated labels on the right: branch over the position choices
-    m = len(wl)
-    candidate_lists = []
-    for lab in wl:
-        cols = positions.get(lab)
-        if cols is None:
-            return
-        candidate_lists.append(cols)
-
-    def descend(i, used, inv, first_low):
-        if i == m:
-            cls = 0 if first_low == n else 1 if first_low == 0 else 2
-            buckets[cls][inv] += coeff
-            return
-        low = i < n
-        for j in candidate_lists[i]:
-            bit = 1 << j
-            if used & bit:
-                continue
-            descend(
-                i + 1,
-                used | bit,
-                inv + (used >> (j + 1)).bit_count(),
-                first_low + (1 if low and j < n else 0),
-            )
-
-    descend(0, 0, 0, 0)
+    hits = contract(left, right, split=n)
+    cross = sum(hits[1:n], QPolynomial.zero())
+    return TwoCompositeResult(direct=hits[n], exchange=hits[0], cross=cross, n=n)
 
 
 def _factorized_scalar(
@@ -235,14 +151,17 @@ def two_composite_scalar(
     )
 
 
-def effective_exponent(spec: CompositeSpec) -> int:
-    """Verified exponent of the composite exchange parameter.
+def exchange_law(
+    spec: CompositeSpec,
+) -> tuple[TwoCompositeResult, TwoCompositeResult, int]:
+    """The aligned and swapped two-composite scalar products, each
+    computed once, and the verified exponent of the composite exchange
+    parameter.
 
-    Recomputes the aligned and swapped two-composite scalar products and
-    asserts the exact identities direct = P^2 and exchange = q^(n^2) *
+    Asserts the exact identities direct = P^2 and exchange = q^(n^2) *
     direct, plus the n^2 crossing count of the order-preserving block
     swap.  Any failure raises TheoremViolation; n <= 4 verifies against
-    the full pairing enumeration, n = 5..6 against the factorized path.
+    the full contraction, n = 5..6 against the factorized path.
     """
     n = spec.n
     if inversion_number(block_swap(n)) != n * n:
@@ -259,7 +178,13 @@ def effective_exponent(spec: CompositeSpec) -> int:
         raise TheoremViolation("exchange component is not q^(n^2) times the direct component")
     if (swapped.direct, swapped.cross) != (zero, zero):
         raise TheoremViolation("swapped tags produced non-exchange components")
-    return n * n
+    return aligned, swapped, n * n
+
+
+def effective_exponent(spec: CompositeSpec) -> int:
+    """Verified exponent of the composite exchange parameter; see
+    ``exchange_law``."""
+    return exchange_law(spec)[2]
 
 
 def weo_limit_check(n: int, sign: str) -> str:

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all quonstat modules."""
 
+from pathlib import Path
+
 
 class QuonError(Exception):
     """Base class for all quonstat errors."""
@@ -34,3 +36,14 @@ class LimitsFormatError(ParseError):
         self.diagnostics = list(diagnostics)
         lines = "; ".join(f"line {no}: {msg}" for no, msg in self.diagnostics)
         super().__init__(f"{self.path}: {lines}")
+
+
+def read_text(path) -> str:
+    """Contents of a UTF-8 text file.  A file that cannot be opened or
+    decoded is malformed input: ParseError with a one-line reason."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None

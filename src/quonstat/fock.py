@@ -5,6 +5,12 @@ The central objects here are the normalization polynomial of a
 representation-weighted state, the Gram matrix of a word basis, a numeric
 positive-semidefiniteness certificate, and the q-dependent weights of the
 symmetric-group irreps inside the n-quon state.
+
+Scalar products of states go through one contraction engine,
+``contract``: the left words act as quon annihilators on the sparse right
+state (the q-Fock-space action of Bozejko and Speicher), so the work
+grows with the residual support rather than with the number of word
+pairs.  Single word pairs still use the q-permanent of ``wick``.
 """
 
 import math
@@ -21,7 +27,7 @@ from .permutations import (
     character_table,
 )
 from .qpoly import QPolynomial
-from .wick import ModeLabel, Word, q_permanent, scalar_product
+from .wick import ModeLabel, Word, scalar_product
 
 
 @dataclass(frozen=True)
@@ -78,48 +84,98 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(terms)
 
 
-def state_scalar_product(left: StateVector, right: StateVector) -> QPolynomial:
-    """Bilinear extension of the word scalar product.
-
-    Scalar products depend on the words only through their delta pattern,
-    so pairs sharing a pattern are evaluated once; accumulation stays
-    exact and order-independent.
-    """
-    if not left.terms or not right.terms:
-        return QPolynomial.zero()
-    if left.word_length() != right.word_length():
-        return QPolynomial.zero()
-    m = left.word_length()
-
-    ids: dict = {}
-    left_words = [
-        (tuple(ids.setdefault(lab, len(ids)) for lab in w), c)
-        for w, c in left.terms.items()
+def _integer_terms(state: StateVector, ids: dict) -> tuple[list, int]:
+    """Terms with interned label ids and integer coefficients, plus the
+    common denominator that was cleared."""
+    scale = 1
+    for c in state.terms.values():
+        scale = math.lcm(scale, c.denominator)
+    terms = [
+        (tuple(ids.setdefault(lab, len(ids)) for lab in w), int(c * scale))
+        for w, c in state.terms.items()
     ]
-    right_indexed = []
-    for w, c in right.terms.items():
-        masks: dict[int, int] = {}
-        for j, lab in enumerate(w):
-            lab_id = ids.setdefault(lab, len(ids))
-            masks[lab_id] = masks.get(lab_id, 0) | (1 << j)
-        right_indexed.append((masks, c))
+    return terms, scale
 
-    acc = [Fraction(0)] * (m * (m - 1) // 2 + 1)
-    memo: dict[tuple[int, ...], tuple] = {}
-    for wl, cl in left_words:
-        for masks, cr in right_indexed:
-            key = tuple(masks.get(lab, 0) for lab in wl)
-            coeffs = memo.get(key)
-            if coeffs is None:
-                matrix = [[(row >> j) & 1 for j in range(m)] for row in key]
-                coeffs = q_permanent(matrix).coefficients
-                memo[key] = coeffs
-            if coeffs:
-                c = cl * cr
-                for k, value in enumerate(coeffs):
-                    if value:
-                        acc[k] += c * value
-    return QPolynomial(acc)
+
+def contract(left: StateVector, right: StateVector, split: int = 0) -> list[QPolynomial]:
+    """Scalar product <left|right> by the quon annihilator action.
+
+    Reading the left word from its first letter, each letter k applies
+    a(k) (w_1...w_m) = sum_j q^(j-1) delta(k, w_j) (w without w_j) to the
+    right state, held sparsely as residual word -> coefficient list; the
+    scalar product of a left word is what remains on the empty word.  The
+    left words are walked as a prefix trie, so left terms sharing a
+    prefix share its residual states.  Right terms whose residuals
+    coincide merge: with distinct labels the support at depth d is at
+    most (m - d)! words, the orders of the labels not yet annihilated,
+    however many right terms there are.  The cost is therefore about the
+    number of trie nodes times the support at their depth, instead of
+    |left| * |right| word pairs.
+
+    The result is bucketed by block structure: ``hits[h]`` collects the
+    pairings in which exactly h of the first ``split`` left letters are
+    annihilated against right positions below ``split``.  With the
+    default ``split=0`` the whole product is ``hits[0]``.
+    """
+    if not left.terms or not right.terms or left.word_length() != right.word_length():
+        return [QPolynomial.zero()] * (split + 1)
+    m = left.word_length()
+    ids: dict = {}
+    right_terms, right_scale = _integer_terms(right, ids)
+    left_terms, left_scale = _integer_terms(left, ids)
+
+    # residual letters are 2*label + block bit (1 at or past ``split``);
+    # a state key is (residual word, hits so far)
+    state: dict = {}
+    for w, c in right_terms:
+        key = (tuple(2 * k + (j >= split) for j, k in enumerate(w)), 0)
+        state[key] = [c]
+
+    trie: dict = {}
+    for w, c in left_terms:
+        node = trie
+        for k in w:
+            node = node.setdefault(k, {})
+        node[None] = c
+
+    width = m * (m - 1) // 2 + 1
+    hits = [[0] * width for _ in range(split + 1)]
+
+    def descend(node, depth, state):
+        if depth == m:
+            c = node[None]
+            for (_, h), poly in state.items():
+                acc = hits[h]
+                for power, value in enumerate(poly):
+                    acc[power] += c * value
+            return
+        counting = depth < split
+        for k, child in node.items():
+            nxt: dict = {}
+            for (residual, h), poly in state.items():
+                for j, letter in enumerate(residual):
+                    if letter >> 1 != k:
+                        continue
+                    key = (residual[:j] + residual[j + 1:], h + (counting and not letter & 1))
+                    target = nxt.get(key)
+                    if target is None:
+                        nxt[key] = [0] * j + poly
+                        continue
+                    if len(target) < len(poly) + j:
+                        target.extend([0] * (len(poly) + j - len(target)))
+                    for power, value in enumerate(poly, start=j):
+                        target[power] += value
+            if nxt:
+                descend(child, depth + 1, nxt)
+
+    descend(trie, 0, state)
+    scale = Fraction(1, left_scale * right_scale)
+    return [QPolynomial(scale * c for c in acc) for acc in hits]
+
+
+def state_scalar_product(left: StateVector, right: StateVector) -> QPolynomial:
+    """Bilinear extension of the word scalar product, by ``contract``."""
+    return contract(left, right)[0]
 
 
 def normalization_poly(rep: RepCoefficients, labels: Sequence[ModeLabel]) -> QPolynomial:
@@ -146,6 +202,8 @@ class GramMatrix:
         return len(self.words)
 
     def evaluate(self, q_value: float) -> np.ndarray:
+        if not math.isfinite(q_value):
+            raise ContractViolation(f"q must be a finite number, got {q_value}")
         return np.array(
             [[entry.evaluate(float(q_value)) for entry in row] for row in self.entries]
         )

@@ -8,6 +8,7 @@ from quonstat import (
     BoundRecord,
     ContractViolation,
     LimitsFormatError,
+    ParseError,
     derive_chain,
     ingest_limits,
     load_bundled_limits,
@@ -36,6 +37,9 @@ def test_first_order_validation_and_warning():
         propagate_first_order(1e-3, 0)
     with pytest.raises(ContractViolation):
         propagate_first_order(-1e-3, 2)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ContractViolation):
+            propagate_first_order(value, 2)
     with pytest.warns(UserWarning):
         propagate_first_order(0.5, 2)
 
@@ -119,6 +123,15 @@ def test_ingest_empty_file(tmp_path):
     path = tmp_path / "empty.tsv"
     path.write_text("# only a comment\n\n")
     assert ingest_limits(path) == []
+
+
+def test_ingest_unreadable_file_is_parse_error(tmp_path):
+    with pytest.raises(ParseError, match="cannot read"):
+        ingest_limits(tmp_path / "missing.tsv")
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes("O16\t-\t1\t5e-9\tnear_bose\tr\u00e9f\n".encode("latin-1"))
+    with pytest.raises(ParseError, match="not UTF-8"):
+        ingest_limits(path)
 
 
 def test_ingest_reports_bad_lines_with_numbers(tmp_path):

@@ -74,6 +74,43 @@ def test_norm_rep_file_arity_mismatch(tmp_path, capsys):
     assert "S_2" in err
 
 
+def test_norm_rep_file_mixed_arity_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "rep.tsv"
+    path.write_text("1,2\t1\n1,2,3\t1\n")
+    code, _, err = run(capsys, "norm", "--n", "2", "--rep", str(path))
+    assert code == 2
+    assert f"{path}:2:" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_non_utf8_input_files_are_parse_errors(tmp_path, capsys):
+    path = tmp_path / "binary.tsv"
+    path.write_bytes(b"\xff\xfe1\t1\n")
+    for argv in (
+        ("qperm", "--matrix", str(path)),
+        ("norm", "--n", "2", "--rep", str(path)),
+        ("composite", "--n", "2", "--rep", str(path)),
+        ("bounds", "chain", "--input", str(path), "--path", "x"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "not UTF-8" in err
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_missing_input_files_are_parse_errors(tmp_path, capsys):
+    missing = str(tmp_path / "no_such_file.tsv")
+    for argv in (
+        ("qperm", "--matrix", missing),
+        ("qperm", "--matrix", str(tmp_path)),
+        ("bounds", "chain", "--input", missing, "--path", "x"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "cannot read" in err
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_norm_missing_rep_file(capsys):
     code, _, err = run(capsys, "norm", "--n", "2", "--rep", "no_such_file.tsv")
     assert code == 2
@@ -96,6 +133,14 @@ def test_gram_psd_verdict(capsys):
     assert code == 0
     assert "psd\tfail" in out
     assert "outside_range" in out
+
+
+@pytest.mark.parametrize("q", ["nan", "inf", "-inf"])
+def test_gram_refuses_non_finite_q(capsys, q):
+    for extra in ((), ("--check-psd",)):
+        code, out, err = run(capsys, "gram", "--labels", "a,b", f"--q={q}", *extra)
+        assert (code, out) == (1, "")
+        assert "finite" in err
 
 
 def test_gram_cap(capsys):
@@ -162,6 +207,16 @@ def test_bounds_propagate_contract_violation(capsys):
     code, _, err = run(capsys, "bounds", "propagate", "--epsilon", "-1", "--n", "4")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_bounds_propagate_refuses_non_finite_epsilon(capsys, epsilon):
+    for extra in ((), ("--exact",)):
+        code, out, err = run(
+            capsys, "bounds", "propagate", "--epsilon", epsilon, "--n", "3", *extra
+        )
+        assert (code, out) == (1, "")
+        assert "epsilon" in err
 
 
 def test_bounds_chain_bundled(capsys):

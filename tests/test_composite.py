@@ -1,10 +1,14 @@
 """Composite statistics: classification, the q^(n^2) exchange law, limits."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import permutations as bijections
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import pairwise_dp_scalar
 
 from quonstat import (
     CapExceeded,
@@ -12,15 +16,17 @@ from quonstat import (
     ContractViolation,
     ModeLabel,
     QPolynomial,
+    RepCoefficients,
+    all_permutations,
     block_swap,
     composite_word,
     cross_term_magnitude,
     effective_exponent,
+    exchange_law,
     inversion_number,
     normalization_poly,
     preset_rep,
     random_rep,
-    state_scalar_product,
     tensor,
     two_composite_scalar,
     weo_limit_check,
@@ -70,9 +76,11 @@ def literal_classified(spec, left_tags, right_tags):
 
 
 def full_scalar(spec, left_tags, right_tags):
+    """The whole product by the pairwise q-permanent oracle, which shares no
+    code with the contraction engine behind ``_classified_scalar``."""
     left = tensor(composite_word(spec, left_tags[0]), composite_word(spec, left_tags[1]))
     right = tensor(composite_word(spec, right_tags[0]), composite_word(spec, right_tags[1]))
-    return state_scalar_product(left, right)
+    return pairwise_dp_scalar(left, right)
 
 
 TAG_CONFIGS = [
@@ -165,6 +173,36 @@ def test_classified_matches_literal_oracle_n3_overlap():
     )
 
 
+@st.composite
+def small_composite(draw):
+    """n <= 2 with random rational coefficients (some cancelling in the
+    product states) and tags that repeat within and across sides."""
+    n = draw(st.integers(1, 2))
+    coeffs = draw(
+        st.lists(
+            st.fractions(min_value=-2, max_value=2, max_denominator=3),
+            min_size=math.factorial(n),
+            max_size=math.factorial(n),
+        ).filter(any)
+    )
+    rep = RepCoefficients(n=n, coeffs=dict(zip(all_permutations(n), coeffs)))
+    tags = st.tuples(st.sampled_from("tu"), st.sampled_from("tu"))
+    return make_spec(n, rep), draw(tags), draw(tags)
+
+
+@settings(deadline=None)
+@given(small_composite())
+def test_classified_buckets_match_literal_oracle(case):
+    spec, left_tags, right_tags = case
+    got = _classified_scalar(spec, left_tags, right_tags)
+    want = literal_classified(spec, left_tags, right_tags)
+    assert (got.direct, got.exchange, got.cross) == (
+        want["direct"],
+        want["exchange"],
+        want["cross"],
+    )
+
+
 def test_decomposition_identity_all_configs():
     rng = random.Random(3)
     for n in (1, 2, 3):
@@ -217,6 +255,14 @@ def test_effective_exponent_values():
     assert effective_exponent(make_spec(2, preset_rep(2, "symmetric"))) == 4
     assert effective_exponent(make_spec(2)) == 4
     assert effective_exponent(make_spec(3)) == 9
+
+
+def test_exchange_law_returns_the_products_it_verified():
+    spec = make_spec(3, preset_rep(3, "symmetric"))
+    aligned, swapped, exponent = exchange_law(spec)
+    assert aligned == two_composite_scalar(spec, ("t1", "t2"), ("t1", "t2"))
+    assert swapped == two_composite_scalar(spec, ("t1", "t2"), ("t2", "t1"))
+    assert exponent == effective_exponent(spec) == 9
 
 
 def test_effective_exponent_random_rep():

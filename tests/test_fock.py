@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quonstat import (
     ContractViolation,
@@ -28,6 +30,7 @@ from quonstat import (
     state_scalar_product,
     tensor,
 )
+from quonstat.fock import contract
 
 A, B, C = ModeLabel("a"), ModeLabel("b"), ModeLabel("c")
 
@@ -207,11 +210,56 @@ def test_check_psd_tolerance_validation():
         check_psd(g, 0.5, tolerance=-1e-3)
 
 
+def test_gram_evaluation_refuses_non_finite_q():
+    g = gram(permutation_basis(labels(2)))
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ContractViolation):
+            g.evaluate(value)
+        with pytest.raises(ContractViolation):
+            check_psd(g, value)
+
+
 def test_state_scalar_product_bilinearity():
     s1 = build_state((A, B), preset_rep(2, "symmetric"))
     s2 = build_state((A, B), preset_rep(2, "antisymmetric"))
     # symmetric and antisymmetric states are orthogonal
     assert state_scalar_product(s1, s2) == QPolynomial.zero()
+
+
+COEFFICIENTS = st.sampled_from(
+    [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-1, 2), Fraction(-2, 3)]
+)
+LABELS = st.builds(ModeLabel, st.sampled_from("abc"), st.sampled_from([None, "t"]))
+
+
+@st.composite
+def state_pair(draw):
+    """Two random states over an alphabet of at most three labels; words
+    repeat labels, and repeated words merge, so coefficients can cancel."""
+    alphabet = draw(st.lists(LABELS, min_size=1, max_size=3, unique=True))
+
+    def state(m):
+        word = st.lists(st.sampled_from(alphabet), min_size=m, max_size=m).map(tuple)
+        terms: dict = {}
+        for w, c in draw(st.lists(st.tuples(word, COEFFICIENTS), max_size=6)):
+            terms[w] = terms.get(w, 0) + c
+        return StateVector(terms)
+
+    m = draw(st.integers(0, 5))
+    right_m = draw(st.one_of(st.just(m), st.integers(0, 5)))
+    return state(m), state(right_m), draw(st.integers(0, m))
+
+
+@settings(deadline=None)
+@given(state_pair())
+def test_contraction_engine_matches_pairing_oracle(pair):
+    left, right, split = pair
+    expected = QPolynomial.zero()
+    for wl, cl in left.terms.items():
+        for wr, cr in right.terms.items():
+            expected = expected + (cl * cr) * oracle_scalar_product(wl, wr)
+    assert state_scalar_product(left, right) == expected
+    assert sum(contract(left, right, split), QPolynomial.zero()) == expected
 
 
 def test_irrep_weights_two_quons():
