@@ -1,10 +1,12 @@
 """Command-line surface.  Every subcommand prints deterministic,
 tab-separated output; polynomials use the qpoly text format.
 
-Exit codes: 0 success, 1 contract violations, 2 parse errors.
+Exit codes: 0 success, 1 contract violations and a closed stdout, 2 parse
+errors.
 """
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -262,7 +264,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that went away must surface here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; point it at devnull
+        # so that flush cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 1
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

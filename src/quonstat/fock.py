@@ -6,19 +6,22 @@ representation-weighted state, the Gram matrix of a word basis, a numeric
 positive-semidefiniteness certificate, and the q-dependent weights of the
 symmetric-group irreps inside the n-quon state.
 
-Scalar products of states go through one contraction engine,
-``contract``: the left words act as quon annihilators on the sparse right
+Scalar products of states and of single words go through one
+contraction engine, ``wick.contract_terms``, which ``contract`` adapts to
+`StateVector`: the left words act as quon annihilators on the sparse right
 state (the q-Fock-space action of Bozejko and Speicher), so the work
 grows with the residual support rather than with the number of word
-pairs.  Single word pairs still use the q-permanent of ``wick``.
+pairs.
+
+numpy is imported only by the numeric Gram evaluation and the PSD check,
+so the exact algebra and the commands that never evaluate numerically do
+not pay for its import.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .errors import ContractViolation, UnsupportedError
 from .permutations import (
@@ -27,7 +30,10 @@ from .permutations import (
     character_table,
 )
 from .qpoly import QPolynomial
-from .wick import ModeLabel, Word, scalar_product
+from .wick import ModeLabel, Word, contract_terms, scalar_product
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -84,93 +90,14 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(terms)
 
 
-def _integer_terms(state: StateVector, ids: dict) -> tuple[list, int]:
-    """Terms with interned label ids and integer coefficients, plus the
-    common denominator that was cleared."""
-    scale = 1
-    for c in state.terms.values():
-        scale = math.lcm(scale, c.denominator)
-    terms = [
-        (tuple(ids.setdefault(lab, len(ids)) for lab in w), int(c * scale))
-        for w, c in state.terms.items()
-    ]
-    return terms, scale
-
-
 def contract(left: StateVector, right: StateVector, split: int = 0) -> list[QPolynomial]:
-    """Scalar product <left|right> by the quon annihilator action.
-
-    Reading the left word from its first letter, each letter k applies
-    a(k) (w_1...w_m) = sum_j q^(j-1) delta(k, w_j) (w without w_j) to the
-    right state, held sparsely as residual word -> coefficient list; the
-    scalar product of a left word is what remains on the empty word.  The
-    left words are walked as a prefix trie, so left terms sharing a
-    prefix share its residual states.  Right terms whose residuals
-    coincide merge: with distinct labels the support at depth d is at
-    most (m - d)! words, the orders of the labels not yet annihilated,
-    however many right terms there are.  The cost is therefore about the
-    number of trie nodes times the support at their depth, instead of
-    |left| * |right| word pairs.
-
-    The result is bucketed by block structure: ``hits[h]`` collects the
-    pairings in which exactly h of the first ``split`` left letters are
-    annihilated against right positions below ``split``.  With the
-    default ``split=0`` the whole product is ``hits[0]``.
+    """Scalar product <left|right> by the quon annihilator action of
+    ``wick.contract_terms``, bucketed by block structure: ``hits[h]``
+    collects the pairings in which exactly h of the first ``split`` left
+    letters are annihilated against right positions below ``split``.
+    With the default ``split=0`` the whole product is ``hits[0]``.
     """
-    if not left.terms or not right.terms or left.word_length() != right.word_length():
-        return [QPolynomial.zero()] * (split + 1)
-    m = left.word_length()
-    ids: dict = {}
-    right_terms, right_scale = _integer_terms(right, ids)
-    left_terms, left_scale = _integer_terms(left, ids)
-
-    # residual letters are 2*label + block bit (1 at or past ``split``);
-    # a state key is (residual word, hits so far)
-    state: dict = {}
-    for w, c in right_terms:
-        key = (tuple(2 * k + (j >= split) for j, k in enumerate(w)), 0)
-        state[key] = [c]
-
-    trie: dict = {}
-    for w, c in left_terms:
-        node = trie
-        for k in w:
-            node = node.setdefault(k, {})
-        node[None] = c
-
-    width = m * (m - 1) // 2 + 1
-    hits = [[0] * width for _ in range(split + 1)]
-
-    def descend(node, depth, state):
-        if depth == m:
-            c = node[None]
-            for (_, h), poly in state.items():
-                acc = hits[h]
-                for power, value in enumerate(poly):
-                    acc[power] += c * value
-            return
-        counting = depth < split
-        for k, child in node.items():
-            nxt: dict = {}
-            for (residual, h), poly in state.items():
-                for j, letter in enumerate(residual):
-                    if letter >> 1 != k:
-                        continue
-                    key = (residual[:j] + residual[j + 1:], h + (counting and not letter & 1))
-                    target = nxt.get(key)
-                    if target is None:
-                        nxt[key] = [0] * j + poly
-                        continue
-                    if len(target) < len(poly) + j:
-                        target.extend([0] * (len(poly) + j - len(target)))
-                    for power, value in enumerate(poly, start=j):
-                        target[power] += value
-            if nxt:
-                descend(child, depth + 1, nxt)
-
-    descend(trie, 0, state)
-    scale = Fraction(1, left_scale * right_scale)
-    return [QPolynomial(scale * c for c in acc) for acc in hits]
+    return contract_terms(left.terms.items(), right.terms.items(), split)
 
 
 def state_scalar_product(left: StateVector, right: StateVector) -> QPolynomial:
@@ -201,7 +128,9 @@ class GramMatrix:
     def dimension(self) -> int:
         return len(self.words)
 
-    def evaluate(self, q_value: float) -> np.ndarray:
+    def evaluate(self, q_value: float) -> "np.ndarray":
+        import numpy as np
+
         if not math.isfinite(q_value):
             raise ContractViolation(f"q must be a finite number, got {q_value}")
         return np.array(
@@ -245,7 +174,7 @@ class PsdReport:
     dimension: int
     q_value: float
     q_in_range: bool
-    witness: Optional[np.ndarray]  # eigenvector of the minimum eigenvalue on failure
+    witness: "Optional[np.ndarray]"  # eigenvector of the minimum eigenvalue on failure
 
     def __str__(self) -> str:
         verdict = "pass" if self.passed else "fail"
@@ -264,6 +193,8 @@ def check_psd(g: GramMatrix, q_value: float, tolerance: float | None = None) -> 
         tolerance = 1e-10 * max(g.dimension, 1)
     if tolerance <= 0:
         raise ContractViolation("tolerance must be positive")
+    import numpy as np
+
     numeric = g.evaluate(q_value)
     eigenvalues, eigenvectors = np.linalg.eigh(numeric)
     min_index = int(np.argmin(eigenvalues))

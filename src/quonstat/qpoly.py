@@ -146,10 +146,14 @@ class QPolynomial:
         """Horner evaluation.  Exact (Fraction) for int/Fraction input,
         float for float input."""
         if isinstance(q_value, float):
+            # float(c) is what float + Fraction computes, without the
+            # Fraction operator dispatch
             acc = 0.0
-        else:
-            q_value = Fraction(q_value)
-            acc = Fraction(0)
+            for c in reversed(self.coefficients):
+                acc = acc * q_value + float(c)
+            return acc
+        q_value = Fraction(q_value)
+        acc = Fraction(0)
         for c in reversed(self.coefficients):
             acc = acc * q_value + c
         return acc

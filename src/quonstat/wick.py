@@ -11,14 +11,23 @@ Two independent evaluation paths are provided on purpose:
 
 * ``oracle_scalar_product`` / ``oracle_q_permanent`` enumerate all n!
   pairings literally and serve as the ground truth;
-* ``scalar_product`` routes through ``q_permanent``, a dynamic program
-  over subsets of used columns with O(2^n * n) polynomial operations.
+* ``scalar_product`` runs the contraction engine ``contract_terms``, which
+  applies the left word as quon annihilators to the right word; the
+  states of ``fock`` go through the same engine.
 
-Both return exact `QPolynomial` values and must agree identically.
+``q_permanent`` evaluates the same weighted sum for an arbitrary square
+matrix by a dynamic program over subsets of used columns, with
+O(2^n * n) steps.  The engine and the DP hold each polynomial as one
+integer with a fixed-width signed field per coefficient (Kronecker
+substitution), so a shift by q^j is one ``<<`` and a merge one ``+``.
+
+All paths return exact `QPolynomial` values and must agree identically.
 """
 
+import math
+from fractions import Fraction
 from itertools import permutations as _bijections
-from typing import Hashable, NamedTuple, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import CapExceeded, ContractViolation
 from .qpoly import QPolynomial
@@ -55,13 +64,43 @@ def delta_matrix(left: Sequence[ModeLabel], right: Sequence[ModeLabel]) -> list[
     return [[1 if a == b else 0 for b in right] for a in left]
 
 
+def _clear_denominators(values: Iterable) -> tuple[list[int], int]:
+    """Integers proportional to ``values`` and the common denominator
+    they were multiplied by."""
+    values = [v if isinstance(v, int) else Fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _field_width(bound: int) -> int:
+    """Bits of a signed field that holds every integer of magnitude <= bound."""
+    return bound.bit_length() + 1
+
+
+def _unpack(value: int, width: int, denominator: int) -> QPolynomial:
+    """Decode a packed polynomial: field k of ``width`` signed bits holds
+    the coefficient of q^k times ``denominator``."""
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    coeffs = []
+    while value:
+        field = value & mask
+        if field >= half:
+            field -= 1 << width
+        coeffs.append(field)
+        value = (value - field) >> width
+    return QPolynomial._from_trimmed(tuple(Fraction(c, denominator) for c in coeffs))
+
+
 def q_permanent(matrix: Sequence[Sequence], cap: int = Q_PERMANENT_CAP) -> QPolynomial:
     """Permanent-like sum over bijections R weighted by q^(inversions of R).
 
     Subset dynamic program: rows are processed in order; a state is the
     set of used columns.  Assigning column j at row i adds one inversion
     for every already-used column greater than j, which reconstructs the
-    inversion number of the full bijection.
+    inversion number of the full bijection.  Each row is scaled to
+    integers, so every state is a packed integer whose fields are bounded
+    by n! times the product of the largest row entries.
     """
     n = len(matrix)
     for row in matrix:
@@ -77,33 +116,33 @@ def q_permanent(matrix: Sequence[Sequence], cap: int = Q_PERMANENT_CAP) -> QPoly
     if any(not any(matrix[i][j] for i in range(n)) for j in range(n)):
         return QPolynomial.zero()
 
-    level: dict[int, list] = {0: [1]}
-    for i in range(n):
-        row = matrix[i]
-        nxt: dict[int, list] = {}
-        for mask, poly in level.items():
-            for j in range(n):
-                entry = row[j]
-                if not entry or (mask >> j) & 1:
+    rows = []
+    denominator = 1
+    bound = math.factorial(n)
+    for row in matrix:
+        entries, scale = _clear_denominators(row)
+        rows.append([(j, 1 << j, e) for j, e in enumerate(entries) if e])
+        denominator *= scale
+        bound *= max(map(abs, entries))
+    width = _field_width(bound)
+
+    level = {0: 1}
+    for columns in rows:
+        nxt: dict[int, int] = {}
+        for mask, value in level.items():
+            for j, bit, entry in columns:
+                if mask & bit:
                     continue
-                shift = (mask >> (j + 1)).bit_count()
-                target = nxt.setdefault(mask | (1 << j), [])
-                need = len(poly) + shift
-                if len(target) < need:
-                    target.extend([0] * (need - len(target)))
-                if entry == 1:
-                    for k, c in enumerate(poly):
-                        if c:
-                            target[k + shift] += c
-                else:
-                    for k, c in enumerate(poly):
-                        if c:
-                            target[k + shift] += c * entry
+                term = (value if entry == 1 else value * entry) << (
+                    (mask >> (j + 1)).bit_count() * width
+                )
+                target = mask | bit
+                nxt[target] = nxt.get(target, 0) + term
         level = nxt
         if not level:
             return QPolynomial.zero()
-    (coeffs,) = level.values()
-    return QPolynomial(coeffs)
+    (value,) = level.values()
+    return _unpack(value, width, denominator)
 
 
 def oracle_q_permanent(matrix: Sequence[Sequence], cap: int = ORACLE_CAP) -> QPolynomial:
@@ -137,11 +176,90 @@ def oracle_q_permanent(matrix: Sequence[Sequence], cap: int = ORACLE_CAP) -> QPo
     return QPolynomial(coeffs)
 
 
+def contract_terms(left: Iterable, right: Iterable, split: int = 0) -> list[QPolynomial]:
+    """Scalar product of two linear combinations of words by the quon
+    annihilator action.
+
+    ``left`` and ``right`` are (word, rational coefficient) pairs; all
+    words of one side have one length, and words of different lengths
+    contract to zero.  Reading the left word from its first letter, each
+    letter k applies a(k) (w_1...w_m) = sum_j q^(j-1) delta(k, w_j)
+    (w without w_j) to the right combination, held sparsely as residual
+    word -> packed polynomial; the scalar product of a left word is what
+    remains on the empty word.  The left words are walked as a prefix
+    trie, so left terms sharing a prefix share its residual states.
+    Right terms whose residuals coincide merge: with distinct labels the
+    support at depth d is at most (m - d)! words, the orders of the
+    labels not yet annihilated, however many right terms there are.  The
+    cost is therefore about the number of trie nodes times the support at
+    their depth, instead of |left| * |right| word pairs.
+
+    Coefficients are cleared to integers, and every polynomial is one
+    integer with a signed field of fixed width per power of q; no field
+    can exceed m! * sum|left| * sum|right|, the number of pairings times
+    the coefficient mass.
+
+    The result is bucketed by block structure: ``hits[h]`` collects the
+    pairings in which exactly h of the first ``split`` left letters are
+    annihilated against right positions below ``split``.  With the
+    default ``split=0`` the whole product is ``hits[0]``.
+    """
+    left, right = list(left), list(right)
+    if not left or not right or len(left[0][0]) != len(right[0][0]):
+        return [QPolynomial.zero()] * (split + 1)
+    m = len(left[0][0])
+    left_coeffs, left_scale = _clear_denominators(c for _, c in left)
+    right_coeffs, right_scale = _clear_denominators(c for _, c in right)
+    width = _field_width(
+        math.factorial(m) * sum(map(abs, left_coeffs)) * sum(map(abs, right_coeffs))
+    )
+    ids: dict = {}
+
+    # residual letters are 2*label + block bit (1 at or past ``split``);
+    # a state key is (residual word, hits so far)
+    state: dict = {}
+    for (w, _), c in zip(right, right_coeffs):
+        key = (tuple(2 * ids.setdefault(k, len(ids)) + (j >= split) for j, k in enumerate(w)), 0)
+        state[key] = state.get(key, 0) + c
+
+    trie: dict = {}
+    for (w, _), c in zip(left, left_coeffs):
+        node = trie
+        for k in w:
+            node = node.setdefault(ids.setdefault(k, len(ids)), {})
+        node[None] = node.get(None, 0) + c
+
+    hits = [0] * (split + 1)
+
+    def descend(node, depth, state):
+        if depth == m:
+            c = node[None]
+            for (_, h), value in state.items():
+                hits[h] += c * value
+            return
+        counting = depth < split
+        for k, child in node.items():
+            nxt: dict = {}
+            for (residual, h), value in state.items():
+                for j, letter in enumerate(residual):
+                    if letter >> 1 != k:
+                        continue
+                    key = (residual[:j] + residual[j + 1:], h + (counting and not letter & 1))
+                    nxt[key] = nxt.get(key, 0) + (value << j * width)
+            if nxt:
+                descend(child, depth + 1, nxt)
+
+    descend(trie, 0, state)
+    return [_unpack(value, width, left_scale * right_scale) for value in hits]
+
+
 def scalar_product(left: Word, right: Word) -> QPolynomial:
-    """Vacuum scalar product of two creation words via the subset DP."""
+    """Vacuum scalar product of two creation words, by ``contract_terms``."""
     if len(left) != len(right):
         return QPolynomial.zero()
-    return q_permanent(delta_matrix(left, right))
+    if len(left) > Q_PERMANENT_CAP:
+        raise CapExceeded(f"q_permanent cap is {Q_PERMANENT_CAP} rows, got {len(left)}")
+    return contract_terms([(left, 1)], [(right, 1)])[0]
 
 
 def oracle_scalar_product(left: Word, right: Word, cap: int = ORACLE_CAP) -> QPolynomial:

@@ -1,5 +1,6 @@
 """Test-only reference implementations, kept independent of the
-contraction engine in ``quonstat.fock`` so the tests can check it."""
+contraction engine in ``quonstat.wick`` and of the float evaluation in
+``quonstat.qpoly`` so the tests can check them."""
 
 from fractions import Fraction
 
@@ -49,3 +50,12 @@ def pairwise_dp_scalar(left: StateVector, right: StateVector) -> QPolynomial:
                     if value:
                         acc[k] += c * value
     return QPolynomial(acc)
+
+
+def mixed_horner(poly: QPolynomial, x: float) -> float:
+    """Float Horner evaluation that adds the Fraction coefficients to the
+    float accumulator directly, through Fraction's mixed-type operators."""
+    acc = 0.0
+    for c in reversed(poly.coefficients):
+        acc = acc * x + c
+    return acc

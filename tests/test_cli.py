@@ -1,8 +1,21 @@
 """CLI behaviour: output format, exit codes, determinism, coverage."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from quonstat.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _child_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 def run(capsys, *argv):
@@ -290,3 +303,28 @@ def test_every_operation_reachable_from_cli(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 0, (argv, err)
         assert out
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    probe = "import sys, quonstat.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
+def test_closed_stdout_is_a_one_line_error():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "quonstat.cli", "sp", "--left", "a", "--right", "a"],
+            env=_child_env(), stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: ")

@@ -226,8 +226,13 @@ def test_state_scalar_product_bilinearity():
     assert state_scalar_product(s1, s2) == QPolynomial.zero()
 
 
-COEFFICIENTS = st.sampled_from(
-    [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-1, 2), Fraction(-2, 3)]
+# small values make cancellations likely; huge numerators and denominators
+# test the width of the engine's packed coefficient fields
+COEFFICIENTS = st.one_of(
+    st.sampled_from(
+        [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-1, 2), Fraction(-2, 3)]
+    ),
+    st.builds(Fraction, st.integers(-(2**90), 2**90), st.integers(1, 2**70)),
 )
 LABELS = st.builds(ModeLabel, st.sampled_from("abc"), st.sampled_from([None, "t"]))
 

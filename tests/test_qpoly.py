@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from quonstat import ContractViolation, ParseError, QPolynomial, parse_polynomial
 
+from oracles import mixed_horner
+
 ONE_PLUS_Q = QPolynomial([1, 1])
 ONE_MINUS_Q = QPolynomial([1, -1])
 
@@ -128,3 +130,13 @@ def test_str_parse_roundtrip(p):
 @given(polys, st.integers(min_value=1, max_value=5), rationals)
 def test_substitution_commutes_with_eval(p, m, x):
     assert p.substitute_power(m).evaluate(x) == p.evaluate(x**m)
+
+
+@given(
+    st.lists(st.fractions(max_denominator=10**12), max_size=40).map(QPolynomial),
+    st.floats(min_value=-1.5, max_value=1.5),
+)
+def test_float_evaluation_is_bit_identical_to_mixed_horner(p, x):
+    value = p.evaluate(x)
+    assert isinstance(value, float)
+    assert value == mixed_horner(p, x)

@@ -1,6 +1,7 @@
 """Wick engine: contraction examples, oracle/DP agreement, limit laws."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -66,6 +67,11 @@ def test_q_permanent_cap():
         q_permanent([[1] * 17 for _ in range(17)])
     with pytest.raises(CapExceeded):
         oracle_q_permanent([[1] * 10 for _ in range(10)])
+    # scalar_product keeps the q_permanent cap on word length
+    word = tuple(ModeLabel(i) for i in range(17))
+    with pytest.raises(CapExceeded):
+        scalar_product(word, word)
+    assert scalar_product(word, word[:16]) == QPolynomial.zero()
 
 
 def test_q_permanent_zero_row_and_column():
@@ -87,15 +93,42 @@ def test_oracle_equivalence_sampled():
             matrix = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
             assert q_permanent(matrix) == oracle_q_permanent(matrix)
 
+    # negative, huge and rational entries: the packed fields of the DP must
+    # be wide enough and signed, and row denominators must be restored
+    def entry():
+        kind = rng.randrange(5)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.randint(-3, 3)
+        if kind == 2:
+            return rng.choice((-1, 1)) * rng.randint(2**70, 2**72)
+        return Fraction(rng.randint(-(10**20), 10**20), rng.randint(1, 10**15))
+
+    for n in range(1, 7):
+        for _ in range(15):
+            matrix = [[entry() for _ in range(n)] for _ in range(n)]
+            assert q_permanent(matrix) == oracle_q_permanent(matrix)
+    # rows whose bijection products cancel exactly
+    assert q_permanent([[1, 1], [1, -1]]) == QPolynomial([-1, 1])
+    assert q_permanent([[2**80, 2**80], [2**80, -(2**80)]]) == QPolynomial([-(2**160), 2**160])
+
 
 def test_scalar_product_matches_oracle_on_random_words():
     rng = random.Random(99)
-    pool = [ModeLabel(i) for i in range(3)]
-    for _ in range(120):
-        length = rng.randint(0, 5)
+    pool = [ModeLabel(i) for i in range(3)] + [ModeLabel(0, "t")]
+    for _ in range(200):
+        length = rng.randint(0, 7)
         left = tuple(rng.choice(pool) for _ in range(length))
-        right = tuple(rng.choice(pool) for _ in range(length))
-        assert scalar_product(left, right) == oracle_scalar_product(left, right)
+        # half the right words permute the left multiset, half are drawn
+        # independently, so label multisets often differ
+        if rng.random() < 0.5:
+            right = tuple(rng.sample(left, length))
+        else:
+            right = tuple(rng.choice(pool) for _ in range(length))
+        expected = oracle_scalar_product(left, right)
+        assert scalar_product(left, right) == expected
+        assert q_permanent(delta_matrix(left, right)) == expected
 
 
 def test_permuted_distinct_word_gives_inversion_monomial():
