@@ -18,7 +18,7 @@ from .errors import ContractViolation, ParseError, QuonError, read_text
 from .permutations import RepCoefficients, preset_rep
 from .wick import ModeLabel
 
-GRAM_CLI_CAP = 6  # (n!)^2 scalar products; 6 keeps the CLI responsive
+GRAM_CLI_CAP = 6  # (n!)^2 printed entries, n! scalar products; 6 keeps the CLI responsive
 
 
 def _parse_labels(raw: str) -> tuple[ModeLabel, ...]:
@@ -106,6 +106,8 @@ def _cmd_norm(args) -> int:
 
 def _cmd_gram(args) -> int:
     labels = _parse_labels(args.labels)
+    if args.check_psd and args.q is None:
+        raise ParseError("--check-psd needs --q")
     if len(labels) > GRAM_CLI_CAP:
         raise ContractViolation(f"gram is capped at {GRAM_CLI_CAP} labels on the CLI")
     basis = fock.permutation_basis(labels)
@@ -118,7 +120,7 @@ def _cmd_gram(args) -> int:
         for row in numeric:
             print("\t".join(f"{value:.10g}" for value in row))
         if args.check_psd:
-            report = fock.check_psd(g, args.q)
+            report = fock.psd_report(numeric, args.q)
             verdict = "pass" if report.passed else "fail"
             flag = "in_range" if report.q_in_range else "outside_range"
             print(f"psd\t{verdict}\t{report.min_eigenvalue:.6e}\t{flag}")

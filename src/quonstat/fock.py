@@ -11,7 +11,10 @@ contraction engine, ``wick.contract_terms``, which ``contract`` adapts to
 `StateVector`: the left words act as quon annihilators on the sparse right
 state (the q-Fock-space action of Bozejko and Speicher), so the work
 grows with the residual support rather than with the number of word
-pairs.
+pairs.  A Gram matrix calls the engine once per distinct pattern of equal
+labels in a word pair (n! times for the permutation basis of n distinct
+labels, not (n!)^2), its entries share one object per pattern, and the
+float evaluation runs once per shared object.
 
 numpy is imported only by the numeric Gram evaluation and the PSD check,
 so the exact algebra and the commands that never evaluate numerically do
@@ -129,31 +132,62 @@ class GramMatrix:
         return len(self.words)
 
     def evaluate(self, q_value: float) -> "np.ndarray":
+        """Float matrix of the entries at q.
+
+        Each distinct entry object is evaluated once and the value reused
+        wherever that object recurs, so a matrix from ``gram`` costs one
+        Horner pass per distinct scalar product; entries that are equal
+        but distinct objects are simply evaluated separately.  A
+        non-finite q, or a q at which an entry overflows, is refused.
+        """
         import numpy as np
 
         if not math.isfinite(q_value):
             raise ContractViolation(f"q must be a finite number, got {q_value}")
-        return np.array(
-            [[entry.evaluate(float(q_value)) for entry in row] for row in self.entries]
-        )
+        x = float(q_value)
+        # keyed by identity: hashing the Fraction coefficients of a
+        # polynomial costs more than the Horner pass it would save
+        distinct = {id(entry): entry for row in self.entries for entry in row}
+        values = {key: entry.evaluate(x) for key, entry in distinct.items()}
+        if not all(map(math.isfinite, values.values())):
+            raise ContractViolation(f"the Gram matrix overflows a float at q = {q_value}")
+        return np.array([[values[id(entry)] for entry in row] for row in self.entries])
 
 
 def gram(words: Sequence[Word]) -> GramMatrix:
     """Gram matrix of scalar products; symmetric because a pairing and its
-    inverse have the same inversion number."""
+    inverse have the same inversion number.
+
+    A scalar product depends on its two words only through which letters
+    are equal.  Row i numbers the labels of its word by first occurrence,
+    and the pair (i, j) is keyed by both words written in those numbers;
+    a right label absent from the left word maps to None, which makes the
+    product zero whichever label it was.  The engine runs once per
+    distinct key, pairs with equal keys share one `QPolynomial`, and the
+    lower triangle reuses the upper one.
+    """
     words = tuple(tuple(w) for w in words)
     if words:
         length = len(words[0])
         if any(len(w) != length for w in words):
             raise ContractViolation("gram requires equal-length words")
+    products: dict = {}
     entries = []
     for i, wi in enumerate(words):
+        ids: dict = {}
+        for label in wi:
+            ids.setdefault(label, len(ids))
+        pattern = tuple(map(ids.get, wi))
         row = []
         for j, wj in enumerate(words):
             if j < i:
                 row.append(entries[j][i])
-            else:
-                row.append(scalar_product(wi, wj))
+                continue
+            key = (pattern, tuple(map(ids.get, wj)))
+            entry = products.get(key)
+            if entry is None:
+                entry = products[key] = scalar_product(wi, wj)
+            row.append(entry)
         entries.append(row)
     return GramMatrix(words=words, entries=tuple(tuple(row) for row in entries))
 
@@ -183,19 +217,25 @@ class PsdReport:
 
 
 def check_psd(g: GramMatrix, q_value: float, tolerance: float | None = None) -> PsdReport:
-    """Evaluate the Gram matrix at q and test the minimum eigenvalue
-    against -tolerance (default 1e-10 per matrix dimension).
+    """Evaluate the Gram matrix at q and test it with ``psd_report``."""
+    return psd_report(g.evaluate(q_value), q_value, tolerance)
+
+
+def psd_report(numeric: "np.ndarray", q_value: float, tolerance: float | None = None) -> PsdReport:
+    """Test the minimum eigenvalue of a Gram matrix already evaluated at
+    q (``GramMatrix.evaluate``) against -tolerance (default 1e-10 per
+    matrix dimension).
 
     q outside [-1, 1] is permitted but flagged: positivity is only
     guaranteed inside the convexity range.
     """
+    dimension = len(numeric)
     if tolerance is None:
-        tolerance = 1e-10 * max(g.dimension, 1)
+        tolerance = 1e-10 * max(dimension, 1)
     if tolerance <= 0:
         raise ContractViolation("tolerance must be positive")
     import numpy as np
 
-    numeric = g.evaluate(q_value)
     eigenvalues, eigenvectors = np.linalg.eigh(numeric)
     min_index = int(np.argmin(eigenvalues))
     min_eig = float(eigenvalues[min_index])
@@ -203,7 +243,7 @@ def check_psd(g: GramMatrix, q_value: float, tolerance: float | None = None) -> 
     return PsdReport(
         passed=passed,
         min_eigenvalue=min_eig,
-        dimension=g.dimension,
+        dimension=dimension,
         q_value=float(q_value),
         q_in_range=-1.0 <= q_value <= 1.0,
         witness=None if passed else eigenvectors[:, min_index],
@@ -216,7 +256,8 @@ def irrep_weight_polys(n: int) -> dict[str, QPolynomial]:
 
     The central idempotent of the irrep is applied to the canonical word
     and its squared norm computed through the Gram matrix of all n!
-    permuted words.
+    permuted words: the products c_i * c_j are summed per distinct Gram
+    entry object first, then each entry is scaled once.
     """
     table = character_table(n)
     base = [ModeLabel(i) for i in range(1, n + 1)]
@@ -229,15 +270,14 @@ def irrep_weight_polys(n: int) -> dict[str, QPolynomial]:
         coeff = [
             Fraction(dim, n_fact) * table.character(label, p) for p in perms
         ]
-        weight = QPolynomial.zero()
-        for i, ci in enumerate(coeff):
+        mass: dict[int, list] = {}
+        for ci, row in zip(coeff, g.entries):
             if not ci:
                 continue
-            for j, cj in enumerate(coeff):
-                if not cj:
-                    continue
-                weight = weight + (ci * cj) * g.entries[i][j]
-        out[label] = weight
+            for cj, entry in zip(coeff, row):
+                if cj:
+                    mass.setdefault(id(entry), [Fraction(0), entry])[0] += ci * cj
+        out[label] = sum((c * entry for c, entry in mass.values()), QPolynomial.zero())
     return out
 
 

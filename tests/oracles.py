@@ -2,9 +2,18 @@
 contraction engine in ``quonstat.wick`` and of the float evaluation in
 ``quonstat.qpoly`` so the tests can check them."""
 
+import math
 from fractions import Fraction
 
-from quonstat import QPolynomial, StateVector, q_permanent
+from quonstat import (
+    ModeLabel,
+    QPolynomial,
+    StateVector,
+    all_permutations,
+    character_table,
+    gram,
+    q_permanent,
+)
 
 
 def pairwise_dp_scalar(left: StateVector, right: StateVector) -> QPolynomial:
@@ -59,3 +68,43 @@ def mixed_horner(poly: QPolynomial, x: float) -> float:
     for c in reversed(poly.coefficients):
         acc = acc * x + c
     return acc
+
+
+def pairwise_irrep_weights(n: int) -> dict[str, QPolynomial]:
+    """Irrep weights of ``fock.irrep_weight_polys`` by the double sum
+    sum_ij c_i c_j G_ij, one polynomial multiply-add per nonzero pair."""
+    table = character_table(n)
+    perms = list(all_permutations(n))
+    g = gram([tuple(ModeLabel(i) for i in p) for p in perms])
+    out = {}
+    for label, dim, _ in table.irreps:
+        coeff = [Fraction(dim, math.factorial(n)) * table.character(label, p) for p in perms]
+        weight = QPolynomial.zero()
+        for i, ci in enumerate(coeff):
+            if not ci:
+                continue
+            for j, cj in enumerate(coeff):
+                if not cj:
+                    continue
+                weight = weight + (ci * cj) * g.entries[i][j]
+        out[label] = weight
+    return out
+
+
+def exact_pivots(matrix) -> list[Fraction]:
+    """Pivots of Gaussian elimination without row exchanges, in exact
+    Fractions, stopping at the first zero pivot.  A symmetric matrix is
+    positive definite iff every pivot is positive, and then its
+    determinant is their product."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    pivots = []
+    for k in range(len(rows)):
+        pivot = rows[k][k]
+        pivots.append(pivot)
+        if not pivot:
+            break
+        for i in range(k + 1, len(rows)):
+            factor = rows[i][k] / pivot
+            if factor:
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
+    return pivots

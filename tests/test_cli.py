@@ -156,6 +156,20 @@ def test_gram_refuses_non_finite_q(capsys, q):
         assert "finite" in err
 
 
+def test_gram_refuses_overflowing_q(capsys):
+    for extra in ((), ("--check-psd",)):
+        code, out, err = run(capsys, "gram", "--labels", "a,b,c", "--q", "1e200", *extra)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert "q = 1e+200" in err
+
+
+def test_gram_check_psd_needs_q(capsys):
+    code, out, err = run(capsys, "gram", "--labels", "a,b", "--check-psd")
+    assert (code, out) == (2, "")
+    assert err == "error: --check-psd needs --q\n"
+
+
 def test_gram_cap(capsys):
     code, _, err = run(capsys, "gram", "--labels", "a,b,c,d,e,f,g")
     assert code == 1

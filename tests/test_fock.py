@@ -4,12 +4,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quonstat import (
     ContractViolation,
+    GramMatrix,
     ModeLabel,
     QPolynomial,
     StateVector,
@@ -21,6 +23,7 @@ from quonstat import (
     gram,
     inverse,
     inversion_number,
+    irrep_weight_polys,
     irrep_weights,
     normalization_poly,
     oracle_scalar_product,
@@ -30,7 +33,10 @@ from quonstat import (
     state_scalar_product,
     tensor,
 )
+from quonstat import fock
 from quonstat.fock import contract
+
+from oracles import exact_pivots, pairwise_irrep_weights
 
 A, B, C = ModeLabel("a"), ModeLabel("b"), ModeLabel("c")
 
@@ -189,6 +195,69 @@ def test_gram_symmetric_and_matches_oracle():
             assert g.entries[i][j] == oracle_scalar_product(g.words[i], g.words[j])
 
 
+def test_gram_calls_the_engine_once_per_distinct_product(monkeypatch):
+    engine = fock.scalar_product
+    calls = []
+
+    def counted(left, right):
+        calls.append((left, right))
+        return engine(left, right)
+
+    monkeypatch.setattr(fock, "scalar_product", counted)
+    for n in range(3, 6):
+        calls.clear()
+        g = gram(permutation_basis(labels(n)))
+        assert len(calls) == math.factorial(n)
+        # every entry is one of the n! computed objects
+        assert len({id(e) for row in g.entries for e in row}) == math.factorial(n)
+
+
+def test_gram_evaluation_is_bit_identical_to_per_entry_evaluation():
+    shared = gram(permutation_basis([A, A, B, C]))
+    # equal entries held as distinct objects, next to unequal ones
+    hand_built = GramMatrix(
+        words=((A, B), (B, A), (A, A)),
+        entries=(
+            (QPolynomial([1, 2]), QPolynomial([Fraction(1, 3), -1]), QPolynomial([1, 2])),
+            (QPolynomial([Fraction(1, 3), -1]), QPolynomial([0, 0, 5]), QPolynomial([1, 2])),
+            (QPolynomial([1, 2]), QPolynomial([1, 2]), QPolynomial([-2, 0, 1])),
+        ),
+    )
+    assert hand_built.entries[0][0] is not hand_built.entries[0][2]
+    for g in (shared, hand_built):
+        for q in (0.5, -0.3, 1.7, -1.0, 1e-3):
+            expected = np.array([[e.evaluate(q) for e in row] for row in g.entries])
+            assert np.array_equal(g.evaluate(q), expected)
+
+
+def zagier_determinant(n, q):
+    """Zagier's product for det gram(permutation_basis(n))."""
+    det = Fraction(1)
+    for k in range(1, n):
+        power, rem = divmod((n - k) * math.factorial(n), k * (k + 1))
+        assert rem == 0
+        det *= (1 - q ** (k * (k + 1))) ** power
+    return det
+
+
+def test_gram_exact_determinant_and_pivots():
+    # exact certificate beside the float eigenvalue check: at rational q
+    # inside (-1, 1) the permutation-basis Gram matrix is positive definite
+    # and its determinant is Zagier's product
+    for n in range(2, 5):
+        g = gram(permutation_basis(labels(n)))
+        for q in (Fraction(1, 2), Fraction(-1, 3)):
+            pivots = exact_pivots([[e.evaluate(q) for e in row] for row in g.entries])
+            assert len(pivots) == g.dimension
+            assert all(p > 0 for p in pivots)
+            assert math.prod(pivots) == zagier_determinant(n, q)
+
+
+def test_irrep_weights_group_by_entry_match_pairwise_sum():
+    for n in range(2, 5):
+        assert irrep_weight_polys(n) == pairwise_irrep_weights(n)
+
+
 def test_check_psd_examples():
     g = gram(permutation_basis(labels(2)))
     report = check_psd(g, 0.5)
@@ -217,6 +286,11 @@ def test_gram_evaluation_refuses_non_finite_q():
             g.evaluate(value)
         with pytest.raises(ContractViolation):
             check_psd(g, value)
+    # finite q whose cube overflows a float
+    g = gram(permutation_basis(labels(3)))
+    for call in (g.evaluate, lambda q: check_psd(g, q)):
+        with pytest.raises(ContractViolation, match=r"q = 1e\+200"):
+            call(1e200)
 
 
 def test_state_scalar_product_bilinearity():
@@ -265,6 +339,28 @@ def test_contraction_engine_matches_pairing_oracle(pair):
             expected = expected + (cl * cr) * oracle_scalar_product(wl, wr)
     assert state_scalar_product(left, right) == expected
     assert sum(contract(left, right, split), QPolynomial.zero()) == expected
+
+
+@st.composite
+def word_list(draw):
+    """Up to six equal-length words over at most three labels, each word
+    drawing from its own subset, so some use labels others lack."""
+    alphabet = draw(st.lists(LABELS, min_size=1, max_size=3, unique=True))
+    m = draw(st.integers(0, 5))
+    words = []
+    for _ in range(draw(st.integers(1, 6))):
+        letters = draw(st.lists(st.sampled_from(alphabet), min_size=1, unique=True))
+        words.append(tuple(draw(st.lists(st.sampled_from(letters), min_size=m, max_size=m))))
+    return words
+
+
+@settings(deadline=None)
+@given(word_list())
+def test_gram_matches_pairing_oracle(words):
+    g = gram(words)
+    for i, wi in enumerate(words):
+        for j, wj in enumerate(words):
+            assert g.entries[i][j] == oracle_scalar_product(wi, wj)
 
 
 def test_irrep_weights_two_quons():
