@@ -8,6 +8,7 @@ errors.
 import argparse
 import os
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,6 +53,9 @@ def _parse_rep(raw: str, n: int) -> RepCoefficients:
             raise ParseError(f"{raw}:{lineno}: expected 'images<TAB>coefficient'")
         try:
             images = tuple(int(x) for x in parts[0].split(","))
+            # a short exponent can stand for more digits than memory holds
+            if "e" in parts[1].lower():
+                raise ValueError(f"coefficient {parts[1]!r} has an exponent")
             coeff = Fraction(parts[1])
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{raw}:{lineno}: {exc}") from None
@@ -140,7 +144,12 @@ def _cmd_composite(args) -> int:
         n=args.n, internal_labels=tuple(range(1, args.n + 1)), rep=rep
     )
     aligned, swapped, exponent = composite_mod.exchange_law(spec)
-    cross = composite_mod.cross_term_magnitude(spec, shared_tags=args.overlap)
+    # without --overlap the cross term is that of the aligned product,
+    # which exchange_law has already computed and checked to be zero
+    if args.overlap:
+        cross = composite_mod.cross_term_magnitude(spec, shared_tags=True)
+    else:
+        cross = aligned.cross
     print(f"direct\t{aligned.direct}")
     print(f"exchange\t{swapped.exchange}")
     print(f"cross\t{cross}")
@@ -263,10 +272,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a library warning as one ``warning:`` line on stderr, without
+    the source location and echoed source line of the default format."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            code = args.func(args)
         # a reader that went away must surface here, not at interpreter exit
         sys.stdout.flush()
         return code

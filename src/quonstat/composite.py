@@ -23,7 +23,9 @@ distinct tags the residual support after d annihilations is at most
 
 For n = 5..6 the identities verified on the full-contraction range are
 applied to normalization polynomials instead; beyond that the operation
-refuses.
+refuses.  ``two_composite_scalar`` is the only place that chooses among
+these; the forced-overlap cross term, whose tags it refuses, is
+contracted in full and refused beyond n = 4.
 """
 
 from dataclasses import dataclass
@@ -208,17 +210,12 @@ def cross_term_magnitude(spec: CompositeSpec, shared_tags: bool) -> QPolynomial:
     With all four tags equal the constituents of every composite can
     contract into both composites on the other side; the returned
     polynomial quantifies the correction the weak-binding assumption
-    drops.  With four pairwise-distinct tags the cross component is
-    identically zero.
+    drops; it needs the full contraction, so n > 4 is refused.  With
+    four pairwise-distinct tags it is the cross component of
+    ``two_composite_scalar``, which is identically zero.
     """
-    if shared_tags:
-        if spec.n > MAX_FULL_ORACLE_N:
-            raise CapExceeded(
-                f"overlap enumeration is capped at n={MAX_FULL_ORACLE_N}"
-            )
-        return _classified_scalar(spec, ("t", "t"), ("t", "t")).cross
-    if spec.n <= MAX_FULL_ORACLE_N:
-        return _classified_scalar(spec, ("t1", "t2"), ("u1", "u2")).cross
-    if spec.n <= MAX_COMPOSITE_N:
-        return QPolynomial.zero()
-    raise CapExceeded(f"two-composite scalar products are capped at n={MAX_COMPOSITE_N}")
+    if not shared_tags:
+        return two_composite_scalar(spec, ("t1", "t2"), ("u1", "u2")).cross
+    if spec.n > MAX_FULL_ORACLE_N:
+        raise CapExceeded(f"overlap enumeration is capped at n={MAX_FULL_ORACLE_N}")
+    return _classified_scalar(spec, ("t", "t"), ("t", "t")).cross

@@ -4,7 +4,8 @@ A state is a rational linear combination of equal-length creation words.
 The central objects here are the normalization polynomial of a
 representation-weighted state, the Gram matrix of a word basis, a numeric
 positive-semidefiniteness certificate, and the q-dependent weights of the
-symmetric-group irreps inside the n-quon state.
+symmetric-group irreps inside the n-quon state, each the normalization
+polynomial of the state projected onto one irrep.
 
 Scalar products of states and of single words go through one
 contraction engine, ``wick.contract_terms``, which ``contract`` adapts to
@@ -254,30 +255,19 @@ def irrep_weight_polys(n: int) -> dict[str, QPolynomial]:
     """Exact weight of each S_n irrep in the n-quon state of n distinct
     labels, as a polynomial in q.
 
-    The central idempotent of the irrep is applied to the canonical word
-    and its squared norm computed through the Gram matrix of all n!
-    permuted words: the products c_i * c_j are summed per distinct Gram
-    entry object first, then each entry is scaled once.
+    The weight of an irrep is the squared norm of the canonical word
+    projected by its central idempotent (dim/n!) * sum_P chi(P) P: one
+    ``normalization_poly`` per irrep, with the scaled characters as the
+    representation coefficients.
     """
     table = character_table(n)
-    base = [ModeLabel(i) for i in range(1, n + 1)]
+    labels = [ModeLabel(i) for i in range(1, n + 1)]
     perms = list(all_permutations(n))
-    basis = [tuple(base[i - 1] for i in p) for p in perms]
-    g = gram(basis)
     n_fact = math.factorial(n)
     out: dict[str, QPolynomial] = {}
     for label, dim, _ in table.irreps:
-        coeff = [
-            Fraction(dim, n_fact) * table.character(label, p) for p in perms
-        ]
-        mass: dict[int, list] = {}
-        for ci, row in zip(coeff, g.entries):
-            if not ci:
-                continue
-            for cj, entry in zip(coeff, row):
-                if cj:
-                    mass.setdefault(id(entry), [Fraction(0), entry])[0] += ci * cj
-        out[label] = sum((c * entry for c, entry in mass.values()), QPolynomial.zero())
+        projector = {p: Fraction(dim, n_fact) * table.character(label, p) for p in perms}
+        out[label] = normalization_poly(RepCoefficients(n, projector, label), labels)
     return out
 
 

@@ -14,7 +14,6 @@ so they stay meaningful when labels repeat.
 
 import functools
 import math
-import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,19 +26,6 @@ from .errors import CapExceeded, ContractViolation, ParseError, UnsupportedError
 Permutation = tuple[int, ...]
 
 DEFAULT_ENUM_CAP = 8
-ENUM_CAP_ENV = "QUON_ENUM_CAP"
-
-
-def enumeration_cap() -> int:
-    """Factorial enumeration cap: DEFAULT_ENUM_CAP unless overridden by
-    the QUON_ENUM_CAP environment variable."""
-    raw = os.environ.get(ENUM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ContractViolation(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}") from exc
 
 
 def check_permutation(p: Permutation) -> Permutation:
@@ -100,19 +86,18 @@ def cycle_type(p: Permutation) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
-def all_permutations(n: int, cap: int | None = None) -> Iterator[Permutation]:
+def all_permutations(n: int) -> Iterator[Permutation]:
     """All n! permutations of 1..n in lexicographic order.
 
-    Refuses n above the enumeration cap (default 8, QUON_ENUM_CAP
-    overrides) so a typo cannot trigger a factorial blowup.
+    Refuses n above DEFAULT_ENUM_CAP (8) so a typo cannot trigger a
+    factorial blowup.
     """
     if n < 1:
         raise ContractViolation("n must be >= 1")
-    limit = enumeration_cap() if cap is None else cap
-    if n > limit:
+    if n > DEFAULT_ENUM_CAP:
         raise CapExceeded(
             f"refusing to enumerate S_{n} ({math.factorial(n)} elements); "
-            f"cap is {limit} (override with {ENUM_CAP_ENV})"
+            f"cap is {DEFAULT_ENUM_CAP}"
         )
     return _itertools_permutations(range(1, n + 1))
 

@@ -199,7 +199,13 @@ def _coerce(value) -> "QPolynomial | None":
 
 
 def _term_str(power: int, c: Fraction) -> str:
-    coef = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    try:
+        coef = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    except ValueError:
+        # the interpreter refuses int-to-decimal conversions past its digit limit
+        raise ContractViolation(
+            f"the coefficient of q^{power} has too many digits to print"
+        ) from None
     if power == 0:
         return coef
     var = "q" if power == 1 else f"q^{power}"

@@ -33,7 +33,7 @@ from .errors import CapExceeded, ContractViolation
 from .qpoly import QPolynomial
 
 ORACLE_CAP = 9          # 9! pairings is the enumeration budget
-Q_PERMANENT_CAP = 16    # 2^16 subset states
+Q_PERMANENT_CAP = 16    # 2^16 subset states; also the longest scalar_product word
 
 
 class ModeLabel(NamedTuple):
@@ -92,7 +92,7 @@ def _unpack(value: int, width: int, denominator: int) -> QPolynomial:
     return QPolynomial._from_trimmed(tuple(Fraction(c, denominator) for c in coeffs))
 
 
-def q_permanent(matrix: Sequence[Sequence], cap: int = Q_PERMANENT_CAP) -> QPolynomial:
+def q_permanent(matrix: Sequence[Sequence]) -> QPolynomial:
     """Permanent-like sum over bijections R weighted by q^(inversions of R).
 
     Subset dynamic program: rows are processed in order; a state is the
@@ -108,8 +108,8 @@ def q_permanent(matrix: Sequence[Sequence], cap: int = Q_PERMANENT_CAP) -> QPoly
             raise ContractViolation("q_permanent requires a square matrix")
     if n == 0:
         return QPolynomial.one()
-    if n > cap:
-        raise CapExceeded(f"q_permanent cap is {cap} rows, got {n}")
+    if n > Q_PERMANENT_CAP:
+        raise CapExceeded(f"q_permanent cap is {Q_PERMANENT_CAP} rows, got {n}")
     # zero row or column forces every bijection product to vanish
     if any(not any(row) for row in matrix):
         return QPolynomial.zero()
@@ -145,7 +145,7 @@ def q_permanent(matrix: Sequence[Sequence], cap: int = Q_PERMANENT_CAP) -> QPoly
     return _unpack(value, width, denominator)
 
 
-def oracle_q_permanent(matrix: Sequence[Sequence], cap: int = ORACLE_CAP) -> QPolynomial:
+def oracle_q_permanent(matrix: Sequence[Sequence]) -> QPolynomial:
     """Ground truth for ``q_permanent``: explicit sum over all n! bijections."""
     n = len(matrix)
     for row in matrix:
@@ -153,8 +153,8 @@ def oracle_q_permanent(matrix: Sequence[Sequence], cap: int = ORACLE_CAP) -> QPo
             raise ContractViolation("q_permanent requires a square matrix")
     if n == 0:
         return QPolynomial.one()
-    if n > cap:
-        raise CapExceeded(f"oracle enumeration budget is {cap}!, got n={n}")
+    if n > ORACLE_CAP:
+        raise CapExceeded(f"oracle enumeration budget is {ORACLE_CAP}!, got n={n}")
     coeffs = [0] * (n * (n - 1) // 2 + 1)
     for bijection in _bijections(range(n)):
         prod = 1
@@ -258,12 +258,14 @@ def scalar_product(left: Word, right: Word) -> QPolynomial:
     if len(left) != len(right):
         return QPolynomial.zero()
     if len(left) > Q_PERMANENT_CAP:
-        raise CapExceeded(f"q_permanent cap is {Q_PERMANENT_CAP} rows, got {len(left)}")
+        raise CapExceeded(
+            f"scalar_product is capped at {Q_PERMANENT_CAP} letters per word, got {len(left)}"
+        )
     return contract_terms([(left, 1)], [(right, 1)])[0]
 
 
-def oracle_scalar_product(left: Word, right: Word, cap: int = ORACLE_CAP) -> QPolynomial:
+def oracle_scalar_product(left: Word, right: Word) -> QPolynomial:
     """Vacuum scalar product by brute-force pairing enumeration."""
     if len(left) != len(right):
         return QPolynomial.zero()
-    return oracle_q_permanent(delta_matrix(left, right), cap=cap)
+    return oracle_q_permanent(delta_matrix(left, right))

@@ -6,7 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from quonstat import composite
 from quonstat.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -94,6 +97,21 @@ def test_norm_rep_file_mixed_arity_is_parse_error(tmp_path, capsys):
     assert code == 2
     assert f"{path}:2:" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_rep_file_coefficient_too_large_for_text_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "rep.tsv"
+    # an exponent stands for more digits than memory holds; refused unparsed
+    path.write_text("1\t1e999999999\n")
+    code, out, err = run(capsys, "norm", "--n", "1", "--rep", str(path))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "exponent" in err
+    # 4000 digits parse; their square is past the interpreter's default
+    # int-to-text limit of 4300 digits
+    path.write_text("1\t" + "7" * 4000 + "\n")
+    code, out, err = run(capsys, "norm", "--n", "1", "--rep", str(path))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "too many digits" in err
 
 
 def test_non_utf8_input_files_are_parse_errors(tmp_path, capsys):
@@ -210,6 +228,24 @@ def test_composite_overlap_cross(capsys):
     assert lines["exponent"] == "4"
 
 
+@pytest.mark.parametrize("overlap, calls", [((), 2), (("--overlap",), 3)], ids=["plain", "overlap"])
+def test_composite_contracts_each_product_once(monkeypatch, capsys, overlap, calls):
+    # the aligned and swapped products, plus the four-equal-tag product
+    # under --overlap; the distinct-tag cross term is the aligned one
+    seen = []
+    classified = composite._classified_scalar
+
+    def counted(spec, left_tags, right_tags):
+        seen.append((left_tags, right_tags))
+        return classified(spec, left_tags, right_tags)
+
+    monkeypatch.setattr(composite, "_classified_scalar", counted)
+    code, out, _ = run(capsys, "composite", "--n", "4", "--rep", "sym", *overlap)
+    assert code == 0
+    assert "cross\t" in out
+    assert len(seen) == calls
+
+
 def test_weo(capsys):
     assert run(capsys, "weo", "--n", "2", "--q", "-1")[1] == "boson\n"
     assert run(capsys, "weo", "--n", "7", "--q", "-1")[1] == "fermion\n"
@@ -244,6 +280,31 @@ def test_bounds_propagate_refuses_non_finite_epsilon(capsys, epsilon):
         )
         assert (code, out) == (1, "")
         assert "epsilon" in err
+
+
+def test_large_epsilon_warning_is_one_stderr_line(tmp_path):
+    # pytest captures warnings in-process, so the shown format is only
+    # visible from a separate interpreter
+    limits = tmp_path / "limits.tsv"
+    limits.write_text("root\tx\t1\t0.5\tnear_fermi\tsynthetic\n")
+    cases = [
+        (("bounds", "propagate", "--epsilon", "0.5", "--n", "3"), 1, "5.556e-02"),
+        (
+            ("bounds", "chain", "--input", str(limits), "--path", "root,a:2,b:2"),
+            2,
+            "a\t2\teven\t1.250000e-01\t1.591036e-01\tnear_fermi",
+        ),
+    ]
+    for argv, warnings, row in cases:
+        result = subprocess.run(
+            [sys.executable, "-m", "quonstat.cli", *argv],
+            env=_child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stderr.splitlines()
+        assert len(lines) == warnings, lines
+        assert all(line.startswith("warning: epsilon=") for line in lines), lines
+        assert row in result.stdout.splitlines()
 
 
 def test_bounds_chain_bundled(capsys):
@@ -307,7 +368,8 @@ def test_every_operation_reachable_from_cli(tmp_path, capsys):
         ("norm", "--n", "2", "--rep", "sym"),                      # normalization_poly, build_state, preset_rep
         ("gram", "--labels", "a,b", "--q", "0.5", "--check-psd"),  # gram, check_psd, permutation enumeration
         ("weights", "--n", "3", "--q", "0.2"),                     # irrep_weights, character_table
-        ("composite", "--n", "2", "--rep", "antisym"),             # two_composite_scalar, effective_exponent, cross_term_magnitude
+        ("composite", "--n", "2", "--rep", "antisym"),             # two_composite_scalar, effective_exponent
+        ("composite", "--n", "2", "--rep", "sym", "--overlap"),    # cross_term_magnitude
         ("weo", "--n", "3", "--q", "-1"),                          # weo_limit_check
         ("bounds", "propagate", "--epsilon", "1e-9", "--n", "4"),  # propagate_first_order
         ("bounds", "propagate", "--epsilon", "1e-9", "--n", "4", "--exact"),  # propagate_exact
@@ -342,3 +404,86 @@ def test_closed_stdout_is_a_one_line_error():
     assert "Traceback" not in result.stderr
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("error: ")
+
+
+HOSTILE_NUMBERS = st.one_of(
+    st.sampled_from(
+        ["nan", "-nan", "inf", "-inf", "1e308", "-1e308", "0", "-0.0", "0.5", "-1", "1", "2"]
+    ),
+    st.floats().map(repr),
+)
+COUNTS = st.integers(-2, 5).map(str)
+
+
+def label_lists(max_size):
+    tokens = st.sampled_from(["a", "b", "c", "t:1", "t:2", ":", "a:", ":b", "", " "])
+    return st.lists(tokens, max_size=max_size).map(",".join)
+
+
+FILE_CONTENT = st.one_of(
+    st.binary(max_size=120),
+    st.text(alphabet="0123456789,-/.e\t\n#", max_size=60).map(str.encode),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["root", "x", ""]),
+            st.just("y"),
+            st.sampled_from(["1", "4", "0", "-2", "z"]),
+            HOSTILE_NUMBERS,
+            st.sampled_from(["near_bose", "near_fermi", "far"]),
+            st.just("src"),
+        ).map("\t".join),
+        max_size=3,
+    ).map(lambda lines: "\n".join(lines).encode()),
+)
+
+
+@st.composite
+def cli_argv(draw, path):
+    """An argv that argparse accepts, with hostile values in its slots;
+    every file slot names ``path``."""
+    rep = draw(st.sampled_from(["sym", "antisym", str(path), "no_such_rep", ""]))
+    command = draw(st.sampled_from(
+        ["sp", "qperm", "norm", "gram", "weights", "composite", "weo", "propagate", "chain"]
+    ))
+    if command == "sp":
+        return ["sp", "--left", draw(label_lists(17)), "--right", draw(label_lists(17))]
+    if command == "qperm":
+        return ["qperm", "--matrix", str(path)]
+    if command == "norm":
+        return ["norm", f"--n={draw(COUNTS)}", "--rep", rep]
+    if command == "gram":
+        argv = ["gram", "--labels", draw(label_lists(5))]
+        if draw(st.booleans()):
+            argv.append(f"--q={draw(HOSTILE_NUMBERS)}")
+        return argv + ["--check-psd"] * draw(st.booleans())
+    if command == "weights":
+        return ["weights", f"--n={draw(COUNTS)}", f"--q={draw(HOSTILE_NUMBERS)}"]
+    if command == "composite":
+        argv = ["composite", f"--n={draw(COUNTS)}", "--rep", rep]
+        return argv + ["--overlap"] * draw(st.booleans())
+    if command == "weo":
+        return ["weo", f"--n={draw(COUNTS)}", f"--q={draw(st.sampled_from(['-1', '1']))}"]
+    if command == "propagate":
+        argv = ["bounds", "propagate", f"--epsilon={draw(HOSTILE_NUMBERS)}", f"--n={draw(COUNTS)}"]
+        return argv + ["--exact"] * draw(st.booleans())
+    links = st.sampled_from(["root", "x", "a:2", "a:0", "a:-2", "a:z", "", ":", "q:3"])
+    argv = ["bounds", "chain", "--path", ",".join(draw(st.lists(links, min_size=1, max_size=4)))]
+    return argv + ["--input", str(path)] * draw(st.booleans())
+
+
+@settings(
+    deadline=None,
+    max_examples=150,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_cli_fuzz_exits_cleanly_with_one_line_errors(tmp_path, capsys, data):
+    # an exception escaping main fails the test with the argv that raised it
+    path = tmp_path / "input.tsv"
+    path.write_bytes(data.draw(FILE_CONTENT, label="file"))
+    code = main(data.draw(cli_argv(path), label="argv"))
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    lines = err.splitlines()
+    assert all(line.startswith(("error: ", "warning: ")) for line in lines), err
+    assert sum(line.startswith("error: ") for line in lines) == (code != 0), err

@@ -253,9 +253,26 @@ def test_gram_exact_determinant_and_pivots():
             assert math.prod(pivots) == zagier_determinant(n, q)
 
 
-def test_irrep_weights_group_by_entry_match_pairwise_sum():
+def test_irrep_weights_are_projected_norms_matching_pairwise_sum(monkeypatch):
+    # one normalization of the projected state per irrep, no Gram matrix;
+    # the oracle builds its own Gram matrix through the unpatched import
+    def no_gram(words):
+        raise AssertionError("irrep_weight_polys must not build a Gram matrix")
+
+    calls = []
+    normalize = fock.normalization_poly
+
+    def counted(rep, labs):
+        calls.append(rep)
+        return normalize(rep, labs)
+
+    monkeypatch.setattr(fock, "gram", no_gram)
+    monkeypatch.setattr(fock, "normalization_poly", counted)
     for n in range(2, 5):
-        assert irrep_weight_polys(n) == pairwise_irrep_weights(n)
+        calls.clear()
+        polys = irrep_weight_polys(n)
+        assert len(calls) == len(polys)
+        assert polys == pairwise_irrep_weights(n)
 
 
 def test_check_psd_examples():

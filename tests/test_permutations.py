@@ -42,10 +42,12 @@ def test_enumerate_small():
 def test_enumerate_cap(monkeypatch):
     with pytest.raises(CapExceeded):
         list(all_permutations(9))
+    # the limit is fixed: the former QUON_ENUM_CAP override has no effect
     monkeypatch.setenv("QUON_ENUM_CAP", "3")
+    assert len(list(all_permutations(4))) == 24
+    assert len(list(all_permutations(8))) == math.factorial(8)
     with pytest.raises(CapExceeded):
-        list(all_permutations(4))
-    assert len(list(all_permutations(3))) == 6
+        list(all_permutations(9))
 
 
 def test_check_permutation():

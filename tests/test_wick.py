@@ -74,6 +74,12 @@ def test_q_permanent_cap():
     assert scalar_product(word, word[:16]) == QPolynomial.zero()
 
 
+def test_scalar_product_cap_names_word_length():
+    word = tuple(ModeLabel(i) for i in range(17))
+    with pytest.raises(CapExceeded, match="16 letters per word, got 17"):
+        scalar_product(word, word)
+
+
 def test_q_permanent_zero_row_and_column():
     assert q_permanent([[0, 0], [1, 1]]) == QPolynomial.zero()
     assert q_permanent([[1, 0], [1, 0]]) == QPolynomial.zero()
