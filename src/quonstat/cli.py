@@ -44,6 +44,7 @@ def _parse_rep(raw: str, n: int) -> RepCoefficients:
     if not path.exists():
         raise ParseError(f"rep must be 'sym', 'antisym', or a file; {raw!r} not found")
     coeffs = {}
+    first_line = {}
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -62,7 +63,12 @@ def _parse_rep(raw: str, n: int) -> RepCoefficients:
         arity = len(next(iter(coeffs), images))
         if len(images) != arity:
             raise ParseError(f"{raw}:{lineno}: {len(images)} images, earlier lines have {arity}")
+        if images in coeffs:
+            raise ParseError(
+                f"{raw}:{lineno}: permutation {parts[0]} already given on line {first_line[images]}"
+            )
         coeffs[images] = coeff
+        first_line[images] = lineno
     if not coeffs:
         raise ParseError(f"{raw}: no coefficients found")
     rep = RepCoefficients(n=len(next(iter(coeffs))), coeffs=coeffs, label=path.stem)

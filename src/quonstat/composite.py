@@ -14,31 +14,31 @@ two-composite states splits over pairing diagrams by block structure:
              composites; vanishes identically when the four tags are
              pairwise distinct and is only nonzero under forced overlap.
 
-For n <= 4 the product is contracted in full by ``fock.contract``: the
-2n left operators act as quon annihilators on the sparse right product
-state, each residual operator remembering which right composite it came
-from, so every surviving pairing is classified on the way.  With four
-distinct tags the residual support after d annihilations is at most
-(2n - d)! words.
+With distinct tags on each side, ``two_composite_scalar`` splits each
+pairing by the set S of left positions it sends into the first right
+composite (Rosso's quantum-shuffle coproduct on the Bozejko-Speicher
+pairing rule).  The tag test leaves at most one S, a whole left block;
+its crossings with the rest are counted, which gives the q^(n^2) of the
+swap, and each left block pairs with its right composite in one state
+product.  A zero cross term means that no mixed S passed the test.
 
-For n = 5..6 the identities verified on the full-contraction range are
-applied to normalization polynomials instead; beyond that the operation
-refuses.  ``two_composite_scalar`` is the only place that chooses among
-these; the forced-overlap cross term, whose tags it refuses, is
-contracted in full and refused beyond n = 4.
+Under forced overlap (all four tags equal) mixed S survive, and
+``fock.contract`` contracts the product in full, each residual operator
+remembering which right composite it came from; that is refused beyond
+``MAX_FULL_ORACLE_N``.
 """
 
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 from .errors import CapExceeded, ContractViolation, TheoremViolation
-from .fock import StateVector, build_state, contract, normalization_poly, tensor
+from .fock import StateVector, build_state, contract, normalization_poly, state_scalar_product, tensor
 from .permutations import Permutation, RepCoefficients, inversion_number
 from .qpoly import QPolynomial
 from .wick import ModeLabel
 
-MAX_FULL_ORACLE_N = 4    # full contraction of the 2n-operator product states
-MAX_COMPOSITE_N = 6      # factorized DP path beyond the oracle range
+MAX_FULL_ORACLE_N = 4    # full contraction under forced overlap (--overlap)
+MAX_COMPOSITE_N = 6      # two-composite products with distinct tags
 
 BOSON = "boson"
 FERMION = "fermion"
@@ -89,8 +89,11 @@ def block_swap(n: int) -> Permutation:
     return tuple(range(n + 1, 2 * n + 1)) + tuple(range(1, n + 1))
 
 
-def _plain_labels(spec: CompositeSpec) -> list[ModeLabel]:
-    return [ModeLabel(index) for index in spec.internal_labels]
+def _buckets(hits: Sequence[QPolynomial], n: int) -> TwoCompositeResult:
+    """Components from ``hits[h]``, the pairings in which h operators of
+    the first left composite land in the first right composite."""
+    cross = sum(hits[1:n], QPolynomial.zero())
+    return TwoCompositeResult(direct=hits[n], exchange=hits[0], cross=cross, n=n)
 
 
 def _classified_scalar(
@@ -106,31 +109,7 @@ def _classified_scalar(
     u1, u2 = right_tags
     left = tensor(composite_word(spec, t1), composite_word(spec, t2))
     right = tensor(composite_word(spec, u1), composite_word(spec, u2))
-    hits = contract(left, right, split=n)
-    cross = sum(hits[1:n], QPolynomial.zero())
-    return TwoCompositeResult(direct=hits[n], exchange=hits[0], cross=cross, n=n)
-
-
-def _factorized_scalar(
-    spec: CompositeSpec,
-    left_tags: Sequence[Hashable],
-    right_tags: Sequence[Hashable],
-) -> TwoCompositeResult:
-    """DP path for n beyond the oracle range: applies the block
-    factorization (direct = P^2, exchange = q^(n^2) P^2, cross = 0 for
-    distinct tag pairs) to the engine-evaluated normalization polynomial."""
-    n = spec.n
-    t1, t2 = left_tags
-    u1, u2 = right_tags
-    zero = QPolynomial.zero()
-    direct = exchange = zero
-    if t1 == u1 and t2 == u2:
-        p = normalization_poly(spec.rep, _plain_labels(spec))
-        direct = p * p
-    if t1 == u2 and t2 == u1:
-        p = normalization_poly(spec.rep, _plain_labels(spec))
-        exchange = QPolynomial.monomial(n * n) * p * p
-    return TwoCompositeResult(direct=direct, exchange=exchange, cross=zero, n=n)
+    return _buckets(contract(left, right, split=n), n)
 
 
 def two_composite_scalar(
@@ -139,18 +118,34 @@ def two_composite_scalar(
     right_tags: Sequence[Hashable],
 ) -> TwoCompositeResult:
     """Scalar product of two-composite states, split into direct,
-    exchange, and cross components (their sum is the full product)."""
+    exchange, and cross components (their sum is the full product).
+
+    A pairing sends a set S of left positions into the first right
+    composite; its crossings are those inside S, those inside the rest,
+    and #{i < j : i not in S, j in S}.  Tags must agree and are constant
+    per block, so only S = {positions tagged u1} can survive, if it has
+    n positions; the rest pair with the second composite only if tagged
+    u2, which the second state product tests.  S adds q^crossings times
+    the two block-by-composite products to bucket |S & first block|.
+    """
+    n = spec.n
     t1, t2 = left_tags
     u1, u2 = right_tags
     if t1 == t2 or u1 == u2:
         raise ContractViolation("the two composites on each side must carry distinct tags")
-    if spec.n <= MAX_FULL_ORACLE_N:
-        return _classified_scalar(spec, left_tags, right_tags)
-    if spec.n <= MAX_COMPOSITE_N:
-        return _factorized_scalar(spec, left_tags, right_tags)
-    raise CapExceeded(
-        f"two-composite scalar products are capped at n={MAX_COMPOSITE_N}"
-    )
+    if n > MAX_COMPOSITE_N:
+        raise CapExceeded(f"two-composite scalar products are capped at n={MAX_COMPOSITE_N}")
+    tags = (t1,) * n + (t2,) * n
+    s = [i for i, tag in enumerate(tags) if tag == u1]
+    rest = [i for i, tag in enumerate(tags) if tag != u1]
+    hits = [QPolynomial.zero()] * (n + 1)
+    if len(s) == n:
+        crossings = sum(i < j for i in rest for j in s)
+        blocks = (composite_word(spec, t1), composite_word(spec, t2))
+        on_s = state_scalar_product(blocks[s[0] // n], composite_word(spec, u1))
+        off_s = state_scalar_product(blocks[rest[0] // n], composite_word(spec, u2))
+        hits[sum(i < n for i in s)] = QPolynomial.monomial(crossings) * on_s * off_s
+    return _buckets(hits, n)
 
 
 def exchange_law(
@@ -162,15 +157,16 @@ def exchange_law(
 
     Asserts the exact identities direct = P^2 and exchange = q^(n^2) *
     direct, plus the n^2 crossing count of the order-preserving block
-    swap.  Any failure raises TheoremViolation; n <= 4 verifies against
-    the full contraction, n = 5..6 against the factorized path.
+    swap.  Any failure raises TheoremViolation.  The products come from
+    ``two_composite_scalar``, which counts the crossings of the swap and
+    contracts each composite pair, so neither identity is assumed.
     """
     n = spec.n
     if inversion_number(block_swap(n)) != n * n:
         raise TheoremViolation(f"block swap of n={n} does not have n^2 inversions")
     aligned = two_composite_scalar(spec, ("t1", "t2"), ("t1", "t2"))
     swapped = two_composite_scalar(spec, ("t1", "t2"), ("t2", "t1"))
-    p = normalization_poly(spec.rep, _plain_labels(spec))
+    p = normalization_poly(spec.rep, [ModeLabel(i) for i in spec.internal_labels])
     zero = QPolynomial.zero()
     if aligned.direct != p * p:
         raise TheoremViolation("direct component does not equal the squared normalization polynomial")
@@ -212,10 +208,10 @@ def cross_term_magnitude(spec: CompositeSpec, shared_tags: bool) -> QPolynomial:
     polynomial quantifies the correction the weak-binding assumption
     drops; it needs the full contraction, so n > 4 is refused.  With
     four pairwise-distinct tags it is the cross component of
-    ``two_composite_scalar``, which is identically zero.
+    ``two_composite_scalar``, which no pairing reaches.
     """
     if not shared_tags:
         return two_composite_scalar(spec, ("t1", "t2"), ("u1", "u2")).cross
     if spec.n > MAX_FULL_ORACLE_N:
-        raise CapExceeded(f"overlap enumeration is capped at n={MAX_FULL_ORACLE_N}")
+        raise CapExceeded(f"overlap contraction is capped at n={MAX_FULL_ORACLE_N}")
     return _classified_scalar(spec, ("t", "t"), ("t", "t")).cross

@@ -4,6 +4,7 @@ contraction engine in ``quonstat.wick`` and of the float evaluation in
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 from quonstat import (
     ModeLabel,
@@ -11,6 +12,7 @@ from quonstat import (
     StateVector,
     all_permutations,
     character_table,
+    delta_matrix,
     gram,
     q_permanent,
 )
@@ -108,3 +110,55 @@ def exact_pivots(matrix) -> list[Fraction]:
             if factor:
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
     return pivots
+
+
+def shuffle_split_scalar(
+    left: StateVector, first: StateVector, second: StateVector, split: int
+) -> list[QPolynomial]:
+    """<left | first second> by the q-shuffle split of each left word, in
+    the buckets of ``fock.contract``: ``hits[h]`` collects the pairings in
+    which h of the first ``split`` left letters land in ``first``.
+
+    A pairing sends a set S of left positions into ``first`` and the rest
+    into ``second``; its crossings are those inside S, those inside the
+    rest, and #{i < j : i not in S, j in S}.  So
+    <w|uv> = sum_S q^#{i<j : i not in S, j in S} <w|_S|u> <w|_rest|v>,
+    each factor a sum of q-permanents of delta matrices over one right
+    state, memoized by restricted word.
+    """
+    m = first.word_length()
+    size = left.word_length()
+    hits = [QPolynomial.zero()] * (split + 1)
+    if size != m + second.word_length():
+        return hits
+    splits = []
+    for s in combinations(range(size), m):
+        rest = tuple(i for i in range(size) if i not in s)
+        splits.append((s, rest, sum(i < j for i in rest for j in s), sum(i < split for i in s)))
+    first_memo: dict = {}
+    second_memo: dict = {}
+
+    def factor(memo: dict, state: StateVector, sub: tuple) -> QPolynomial:
+        value = memo.get(sub)
+        if value is None:
+            value = QPolynomial.zero()
+            for w, c in state.terms.items():
+                value = value + c * q_permanent(delta_matrix(sub, w))
+            memo[sub] = value
+        return value
+
+    # the second factors summed per (bucket, crossings, first restricted
+    # word), so each of those groups costs one polynomial product
+    groups: dict = {}
+    for w, c in left.terms.items():
+        for s, rest, crossings, h in splits:
+            on_s = tuple(w[i] for i in s)
+            if factor(first_memo, first, on_s).is_zero():
+                continue
+            off = factor(second_memo, second, tuple(w[i] for i in rest))
+            if not off.is_zero():
+                key = (h, crossings, on_s)
+                groups[key] = groups.get(key, QPolynomial.zero()) + c * off
+    for (h, crossings, on_s), off in groups.items():
+        hits[h] = hits[h] + QPolynomial.monomial(crossings) * first_memo[on_s] * off
+    return hits

@@ -99,6 +99,14 @@ def test_norm_rep_file_mixed_arity_is_parse_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_rep_file_repeated_permutation_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "rep.tsv"
+    path.write_text("1,2\t1\n2,1\t-1\n1,2\t5\n")
+    code, out, err = run(capsys, "norm", "--n", "2", "--rep", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:3: permutation 1,2 already given on line 1\n"
+
+
 def test_rep_file_coefficient_too_large_for_text_is_one_line_error(tmp_path, capsys):
     path = tmp_path / "rep.tsv"
     # an exponent stands for more digits than memory holds; refused unparsed
@@ -228,22 +236,31 @@ def test_composite_overlap_cross(capsys):
     assert lines["exponent"] == "4"
 
 
-@pytest.mark.parametrize("overlap, calls", [((), 2), (("--overlap",), 3)], ids=["plain", "overlap"])
-def test_composite_contracts_each_product_once(monkeypatch, capsys, overlap, calls):
-    # the aligned and swapped products, plus the four-equal-tag product
-    # under --overlap; the distinct-tag cross term is the aligned one
-    seen = []
-    classified = composite._classified_scalar
+@pytest.mark.parametrize("overlap, full", [((), 0), (("--overlap",), 1)], ids=["plain", "overlap"])
+def test_composite_contracts_each_product_once(monkeypatch, capsys, overlap, full):
+    # the aligned and swapped products by the split path, plus the
+    # four-equal-tag full contraction under --overlap; the distinct-tag
+    # cross term is the aligned one
+    seen = {"split": [], "full": []}
 
-    def counted(spec, left_tags, right_tags):
-        seen.append((left_tags, right_tags))
-        return classified(spec, left_tags, right_tags)
+    def counting(kind, fn):
+        def counted(spec, left_tags, right_tags):
+            seen[kind].append((left_tags, right_tags))
+            return fn(spec, left_tags, right_tags)
 
-    monkeypatch.setattr(composite, "_classified_scalar", counted)
+        return counted
+
+    monkeypatch.setattr(
+        composite, "two_composite_scalar", counting("split", composite.two_composite_scalar)
+    )
+    monkeypatch.setattr(
+        composite, "_classified_scalar", counting("full", composite._classified_scalar)
+    )
     code, out, _ = run(capsys, "composite", "--n", "4", "--rep", "sym", *overlap)
     assert code == 0
     assert "cross\t" in out
-    assert len(seen) == calls
+    assert sorted(seen["split"]) == [(("t1", "t2"), ("t1", "t2")), (("t1", "t2"), ("t2", "t1"))]
+    assert len(seen["full"]) == full
 
 
 def test_weo(capsys):

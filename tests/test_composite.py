@@ -8,7 +8,7 @@ from itertools import permutations as bijections
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import pairwise_dp_scalar
+from oracles import pairwise_dp_scalar, shuffle_split_scalar
 
 from quonstat import (
     CapExceeded,
@@ -81,6 +81,22 @@ def full_scalar(spec, left_tags, right_tags):
     left = tensor(composite_word(spec, left_tags[0]), composite_word(spec, left_tags[1]))
     right = tensor(composite_word(spec, right_tags[0]), composite_word(spec, right_tags[1]))
     return pairwise_dp_scalar(left, right)
+
+
+def split_buckets(spec, left_tags, right_tags):
+    """Direct, exchange and cross by the q-shuffle split of each left word
+    (``oracles.shuffle_split_scalar``), which shares no code with the
+    contraction engine either."""
+    n = spec.n
+    left = tensor(composite_word(spec, left_tags[0]), composite_word(spec, left_tags[1]))
+    hits = shuffle_split_scalar(
+        left, composite_word(spec, right_tags[0]), composite_word(spec, right_tags[1]), n
+    )
+    return {
+        "direct": hits[n],
+        "exchange": hits[0],
+        "cross": sum(hits[1:n], QPolynomial.zero()),
+    }
 
 
 TAG_CONFIGS = [
@@ -160,6 +176,7 @@ def test_classified_matches_literal_oracle():
                 assert got.direct == want["direct"]
                 assert got.exchange == want["exchange"]
                 assert got.cross == want["cross"]
+                assert split_buckets(spec, left_tags, right_tags) == want
 
 
 def test_classified_matches_literal_oracle_n3_overlap():
@@ -171,6 +188,7 @@ def test_classified_matches_literal_oracle_n3_overlap():
         want["exchange"],
         want["cross"],
     )
+    assert split_buckets(spec, ("t", "t"), ("t", "t")) == want
 
 
 @st.composite
@@ -217,25 +235,33 @@ def test_decomposition_identity_all_configs():
                 assert result.total == full_scalar(spec, left_tags, right_tags)
 
 
+# n = 4 is checked against the split oracle, which is checked against
+# literal_classified at n <= 3 above; the pairwise oracle is too slow here
 @pytest.mark.parametrize("kind", ["symmetric", "antisymmetric"])
 def test_decomposition_identity_n4_distinct_tags(kind):
     spec = make_spec(4, preset_rep(4, kind))
     for left_tags, right_tags in TAG_CONFIGS[:4]:
         result = _classified_scalar(spec, left_tags, right_tags)
-        assert result.total == full_scalar(spec, left_tags, right_tags)
+        want = split_buckets(spec, left_tags, right_tags)
+        assert result.total == sum(want.values(), QPolynomial.zero())
+        assert (result.direct, result.exchange, result.cross) == tuple(want.values())
 
 
 @pytest.mark.parametrize("kind", ["symmetric", "antisymmetric"])
 def test_decomposition_identity_n4_forced_overlap(kind):
     spec = make_spec(4, preset_rep(4, kind))
     result = _classified_scalar(spec, ("t", "t"), ("t", "t"))
-    assert result.total == full_scalar(spec, ("t", "t"), ("t", "t"))
+    want = split_buckets(spec, ("t", "t"), ("t", "t"))
+    assert result.total == sum(want.values(), QPolynomial.zero())
+    assert (result.direct, result.exchange, result.cross) == tuple(want.values())
     assert not result.cross.is_zero()
 
 
 def test_exchange_law_small_n():
+    # the split path equals the full contraction in every bucket on the
+    # distinct-tag configurations
     rng = random.Random(8)
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         reps = [
             preset_rep(n, "symmetric"),
             preset_rep(n, "antisymmetric"),
@@ -243,6 +269,14 @@ def test_exchange_law_small_n():
         ]
         for rep in reps:
             spec = make_spec(n, rep)
+            for left_tags, right_tags in TAG_CONFIGS[:4]:
+                got = two_composite_scalar(spec, left_tags, right_tags)
+                want = _classified_scalar(spec, left_tags, right_tags)
+                assert (got.direct, got.exchange, got.cross) == (
+                    want.direct,
+                    want.exchange,
+                    want.cross,
+                )
             aligned = two_composite_scalar(spec, ("t1", "t2"), ("t1", "t2"))
             swapped = two_composite_scalar(spec, ("t1", "t2"), ("t2", "t1"))
             assert swapped.exchange == QPolynomial.monomial(n * n) * aligned.direct
@@ -270,16 +304,21 @@ def test_effective_exponent_random_rep():
     assert effective_exponent(make_spec(3, random_rep(3, rng))) == 9
 
 
-def test_factorized_path_agrees_with_full_path_shape():
-    # n=5 runs the factorized route; its components obey the same law
+def test_split_path_matches_full_contraction_n5_and_law_n6():
     spec = make_spec(5, preset_rep(5, "antisymmetric"))
-    aligned = two_composite_scalar(spec, ("t1", "t2"), ("t1", "t2"))
     swapped = two_composite_scalar(spec, ("t1", "t2"), ("t2", "t1"))
+    full = _classified_scalar(spec, ("t1", "t2"), ("t2", "t1"))
+    assert (swapped.direct, swapped.exchange, swapped.cross) == (
+        full.direct,
+        full.exchange,
+        full.cross,
+    )
     p = normalization_poly(spec.rep, [ModeLabel(i) for i in spec.internal_labels])
-    assert aligned.direct == p * p
-    assert aligned.exchange.is_zero() and aligned.cross.is_zero()
     assert swapped.exchange == QPolynomial.monomial(25) * p * p
     assert effective_exponent(spec) == 25
+    aligned, swapped, exponent = exchange_law(make_spec(6, preset_rep(6, "symmetric")))
+    assert exponent == 36
+    assert swapped.exchange == QPolynomial.monomial(36) * aligned.direct
 
 
 def test_composite_cap():
