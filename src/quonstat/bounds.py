@@ -10,12 +10,11 @@ records alike.
 
 import math
 import warnings
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ContractViolation, LimitsFormatError, read_text
+from .record import Record
 
 PROXIMITIES = ("near_bose", "near_fermi")
 
@@ -24,26 +23,34 @@ FIRST_ORDER_HONEST_RANGE = 0.1
 BUNDLED_DATASET = "statistics_limits.tsv"
 
 
-@dataclass(frozen=True)
-class BoundRecord:
+class BoundRecord(Record):
     """One experimental limit: species, what it is composed of, and the
     measured deviation from exact statistics."""
 
-    species: str
-    composite_of: str
-    n_constituents: int
-    epsilon: float
-    proximity: str
-    source: str
-    model_dependent: bool = False
+    __slots__ = (
+        "species", "composite_of", "n_constituents", "epsilon",
+        "proximity", "source", "model_dependent",
+    )
 
-    def __post_init__(self):
-        if self.n_constituents < 1:
+    def __init__(
+        self,
+        species: str,
+        composite_of: str,
+        n_constituents: int,
+        epsilon: float,
+        proximity: str,
+        source: str,
+        model_dependent: bool = False,
+    ):
+        if n_constituents < 1:
             raise ContractViolation("n_constituents must be >= 1")
-        if not 0 < self.epsilon <= 2:
+        if not 0 < epsilon <= 2:
             raise ContractViolation("epsilon must satisfy 0 < epsilon <= 2")
-        if self.proximity not in PROXIMITIES:
+        if proximity not in PROXIMITIES:
             raise ContractViolation(f"proximity must be one of {PROXIMITIES}")
+        self._set(
+            species, composite_of, n_constituents, epsilon, proximity, source, model_dependent
+        )
 
 
 def propagate_first_order(epsilon_composite: float, n: int) -> float:
@@ -134,15 +141,14 @@ def ingest_limits(path) -> list[BoundRecord]:
 
 def bundled_limits_path() -> Path:
     """Location of the dataset shipped with the package."""
-    return Path(str(resources.files("quonstat.data").joinpath(BUNDLED_DATASET)))
+    return Path(__file__).parent / "data" / BUNDLED_DATASET
 
 
 def load_bundled_limits() -> list[BoundRecord]:
     return ingest_limits(bundled_limits_path())
 
 
-@dataclass(frozen=True)
-class ChainRow:
+class ChainRow(NamedTuple):
     species: str
     n: int                       # constituents per composite of the level above
     parity: str                  # "even" / "odd" of n

@@ -28,13 +28,13 @@ remembering which right composite it came from; that is refused beyond
 ``MAX_FULL_ORACLE_N``.
 """
 
-from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 from .errors import CapExceeded, ContractViolation, TheoremViolation
 from .fock import StateVector, build_state, contract, normalization_poly, state_scalar_product, tensor
 from .permutations import Permutation, RepCoefficients, inversion_number
 from .qpoly import QPolynomial
+from .record import Record
 from .wick import ModeLabel
 
 MAX_FULL_ORACLE_N = 4    # full contraction under forced overlap (--overlap)
@@ -44,29 +44,26 @@ BOSON = "boson"
 FERMION = "fermion"
 
 
-@dataclass(frozen=True)
-class CompositeSpec:
+class CompositeSpec(Record):
     """An n-constituent bound state: distinct internal labels plus the
     representation coefficients that weight the permuted orders."""
 
-    n: int
-    internal_labels: tuple[Hashable, ...]
-    rep: RepCoefficients
+    __slots__ = ("n", "internal_labels", "rep")
 
-    def __post_init__(self):
-        object.__setattr__(self, "internal_labels", tuple(self.internal_labels))
-        if self.n < 1:
+    def __init__(self, n: int, internal_labels: Sequence[Hashable], rep: RepCoefficients):
+        internal_labels = tuple(internal_labels)
+        if n < 1:
             raise ContractViolation("composite needs at least one constituent")
-        if len(self.internal_labels) != self.n:
+        if len(internal_labels) != n:
             raise ContractViolation("need exactly n internal labels")
-        if len(set(self.internal_labels)) != self.n:
+        if len(set(internal_labels)) != n:
             raise ContractViolation("internal labels must be distinct")
-        if self.rep.n != self.n:
+        if rep.n != n:
             raise ContractViolation("rep arity does not match constituent count")
+        self._set(n, internal_labels, rep)
 
 
-@dataclass(frozen=True)
-class TwoCompositeResult:
+class TwoCompositeResult(NamedTuple):
     direct: QPolynomial
     exchange: QPolynomial
     cross: QPolynomial

@@ -17,15 +17,14 @@ labels in a word pair (n! times for the permutation basis of n distinct
 labels, not (n!)^2), its entries share one object per pattern, and the
 float evaluation runs once per shared object.
 
-numpy is imported only by the numeric Gram evaluation and the PSD check,
-so the exact algebra and the commands that never evaluate numerically do
-not pay for its import.
+numpy is imported only by the PSD check, for the eigenvalues: the exact
+algebra and the numeric Gram evaluation, which returns rows of Python
+floats, do not pay for its import.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ContractViolation, UnsupportedError
 from .permutations import (
@@ -34,23 +33,23 @@ from .permutations import (
     character_table,
 )
 from .qpoly import QPolynomial
+from .record import Record
 from .wick import ModeLabel, Word, contract_terms, scalar_product
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(Record):
     """Linear combination of equal-length operator words; zero
     coefficients are never stored."""
 
-    terms: Mapping[Word, Fraction]
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
+    def __init__(self, terms: Mapping[Word, Fraction]):
         cleaned = {}
         length = None
-        for w, c in self.terms.items():
+        for w, c in terms.items():
             w = tuple(w)
             if length is None:
                 length = len(w)
@@ -59,9 +58,7 @@ class StateVector:
             c = Fraction(c)
             if c:
                 cleaned[w] = cleaned.get(w, Fraction(0)) + c
-        object.__setattr__(
-            self, "terms", {w: c for w, c in cleaned.items() if c}
-        )
+        self._set({w: c for w, c in cleaned.items() if c})
 
     def word_length(self) -> int:
         for w in self.terms:
@@ -123,8 +120,7 @@ def normalization_poly(rep: RepCoefficients, labels: Sequence[ModeLabel]) -> QPo
     return state_scalar_product(state, state)
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(NamedTuple):
     words: tuple[Word, ...]
     entries: tuple[tuple[QPolynomial, ...], ...]
 
@@ -132,8 +128,8 @@ class GramMatrix:
     def dimension(self) -> int:
         return len(self.words)
 
-    def evaluate(self, q_value: float) -> "np.ndarray":
-        """Float matrix of the entries at q.
+    def evaluate(self, q_value: float) -> list[list[float]]:
+        """The entries at q, as rows of Python floats.
 
         Each distinct entry object is evaluated once and the value reused
         wherever that object recurs, so a matrix from ``gram`` costs one
@@ -141,8 +137,6 @@ class GramMatrix:
         but distinct objects are simply evaluated separately.  A
         non-finite q, or a q at which an entry overflows, is refused.
         """
-        import numpy as np
-
         if not math.isfinite(q_value):
             raise ContractViolation(f"q must be a finite number, got {q_value}")
         x = float(q_value)
@@ -152,7 +146,7 @@ class GramMatrix:
         values = {key: entry.evaluate(x) for key, entry in distinct.items()}
         if not all(map(math.isfinite, values.values())):
             raise ContractViolation(f"the Gram matrix overflows a float at q = {q_value}")
-        return np.array([[values[id(entry)] for entry in row] for row in self.entries])
+        return [[values[id(entry)] for entry in row] for row in self.entries]
 
 
 def gram(words: Sequence[Word]) -> GramMatrix:
@@ -202,8 +196,7 @@ def permutation_basis(labels: Sequence[ModeLabel]) -> list[Word]:
     ]
 
 
-@dataclass(frozen=True)
-class PsdReport:
+class PsdReport(NamedTuple):
     passed: bool
     min_eigenvalue: float
     dimension: int
@@ -222,22 +215,27 @@ def check_psd(g: GramMatrix, q_value: float, tolerance: float | None = None) -> 
     return psd_report(g.evaluate(q_value), q_value, tolerance)
 
 
-def psd_report(numeric: "np.ndarray", q_value: float, tolerance: float | None = None) -> PsdReport:
+def psd_report(
+    numeric: Sequence[Sequence[float]], q_value: float, tolerance: float | None = None
+) -> PsdReport:
     """Test the minimum eigenvalue of a Gram matrix already evaluated at
     q (``GramMatrix.evaluate``) against -tolerance (default 1e-10 per
     matrix dimension).
 
     q outside [-1, 1] is permitted but flagged: positivity is only
-    guaranteed inside the convexity range.
+    guaranteed inside the convexity range.  An empty matrix has no
+    eigenvalue to test and is refused.
     """
     dimension = len(numeric)
+    if dimension == 0:
+        raise ContractViolation("the PSD check needs a non-empty Gram matrix")
     if tolerance is None:
-        tolerance = 1e-10 * max(dimension, 1)
+        tolerance = 1e-10 * dimension
     if tolerance <= 0:
         raise ContractViolation("tolerance must be positive")
     import numpy as np
 
-    eigenvalues, eigenvectors = np.linalg.eigh(numeric)
+    eigenvalues, eigenvectors = np.linalg.eigh(np.asarray(numeric, dtype=float))
     min_index = int(np.argmin(eigenvalues))
     min_eig = float(eigenvalues[min_index])
     passed = min_eig >= -tolerance

@@ -15,13 +15,13 @@ so they stay meaningful when labels repeat.
 import functools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources
 from itertools import permutations as _itertools_permutations
-from typing import Iterator, Mapping
+from pathlib import Path
+from typing import Iterator, Mapping, NamedTuple
 
-from .errors import CapExceeded, ContractViolation, ParseError, UnsupportedError
+from .errors import CapExceeded, ContractViolation, ParseError, UnsupportedError, read_text
+from .record import Record
 
 Permutation = tuple[int, ...]
 
@@ -102,31 +102,28 @@ def all_permutations(n: int) -> Iterator[Permutation]:
     return _itertools_permutations(range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class RepCoefficients:
+class RepCoefficients(Record):
     """Coefficients c(P) selecting a symmetric-group representation
     combination; kept unnormalized, the state normalization absorbs scale."""
 
-    n: int
-    coeffs: Mapping[Permutation, Fraction]
-    label: str = ""
+    __slots__ = ("n", "coeffs", "label")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, coeffs: Mapping[Permutation, Fraction], label: str = ""):
+        if n < 1:
             raise ContractViolation("RepCoefficients.n must be >= 1")
         cleaned = {}
-        for p, c in self.coeffs.items():
+        for p, c in coeffs.items():
             p = check_permutation(p)
-            if len(p) != self.n:
+            if len(p) != n:
                 raise ContractViolation(
-                    f"permutation {p!r} has wrong arity for n={self.n}"
+                    f"permutation {p!r} has wrong arity for n={n}"
                 )
             c = Fraction(c)
             if c:
                 cleaned[p] = c
         if not cleaned:
             raise ContractViolation("RepCoefficients needs at least one nonzero entry")
-        object.__setattr__(self, "coeffs", cleaned)
+        self._set(n, cleaned, label)
 
     def coefficient(self, p: Permutation) -> Fraction:
         return self.coeffs.get(tuple(p), Fraction(0))
@@ -156,18 +153,12 @@ def random_rep(n: int, rng: random.Random, coeff_bound: int = 3) -> RepCoefficie
             return RepCoefficients(n=n, coeffs=coeffs, label="random")
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     n: int
     # (cycle type, class size) per conjugacy class
     classes: tuple[tuple[tuple[int, ...], int], ...]
     # (label, dimension, character value per class) per irrep
     irreps: tuple[tuple[str, int, tuple[int, ...]], ...]
-    _class_index: dict = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        index = {ct: i for i, (ct, _) in enumerate(self.classes)}
-        object.__setattr__(self, "_class_index", index)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -180,7 +171,10 @@ class CharacterTable:
         raise ContractViolation(f"unknown irrep {label!r}")
 
     def character(self, label: str, p: Permutation) -> int:
-        ci = self._class_index[cycle_type(p)]
+        shape = cycle_type(p)
+        ci = next((i for i, (ct, _) in enumerate(self.classes) if ct == shape), None)
+        if ci is None:
+            raise ContractViolation(f"{p!r} is not an element of S_{self.n}")
         for lab, _, chars in self.irreps:
             if lab == label:
                 return chars[ci]
@@ -252,10 +246,7 @@ def _parse_tables(text: str) -> dict[int, CharacterTable]:
 
 @functools.lru_cache(maxsize=1)
 def _bundled_tables() -> dict[int, CharacterTable]:
-    text = (
-        resources.files("quonstat.data").joinpath("character_tables.txt").read_text()
-    )
-    return _parse_tables(text)
+    return _parse_tables(read_text(Path(__file__).parent / "data" / "character_tables.txt"))
 
 
 def character_table(n: int) -> CharacterTable:

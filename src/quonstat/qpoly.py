@@ -21,9 +21,8 @@ from .errors import ContractViolation, ParseError
 
 Coefficient = Union[int, Fraction]
 
-_TERM_RE = re.compile(
-    r"^(?:(?P<coef>\d+(?:/\d+)?)\*?)?(?P<var>q(?:\^(?P<exp>\d+))?)?$"
-)
+# compiled by ``re``'s own cache on the first ``parse``, not at import
+_TERM_PATTERN = r"^(?:(?P<coef>\d+(?:/\d+)?)\*?)?(?P<var>q(?:\^(?P<exp>\d+))?)?$"
 
 
 def _trim(coeffs: list) -> tuple:
@@ -231,7 +230,7 @@ def parse(text: str) -> QPolynomial:
         if body[0] in "+-":
             sign = -1 if body[0] == "-" else 1
             body = body[1:]
-        m = _TERM_RE.match(body)
+        m = re.match(_TERM_PATTERN, body)
         if not m or (m.group("coef") is None and m.group("var") is None):
             raise ParseError(f"bad polynomial term {chunk!r} in {text!r}")
         coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)

@@ -398,13 +398,33 @@ def test_every_operation_reachable_from_cli(tmp_path, capsys):
         assert out
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    probe = "import sys, quonstat.cli; print('numpy' in sys.modules)"
+START_UP_EXCLUDED = ("numpy", "dataclasses", "inspect", "importlib.resources")
+
+
+def _loaded_after(*python_flags, argv=()):
+    """Which of START_UP_EXCLUDED a fresh interpreter has loaded after
+    ``import quonstat.cli`` and, if ``argv`` is given, ``cli.main(argv)``."""
+    probe = (
+        "import sys, quonstat.cli\n"
+        f"if {list(argv)!r}: quonstat.cli.main({list(argv)!r})\n"
+        f"print(sorted(set({START_UP_EXCLUDED!r}) & set(sys.modules)))"
+    )
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, timeout=60
+        [sys.executable, *python_flags, "-c", probe],
+        env=_child_env(), capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    return result.stdout.splitlines()[-1]
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # -S: no site hooks that preload a module and would hide that the
+    # package imports it
+    assert _loaded_after("-S") == "[]"
+    # only the PSD check needs numpy; printing the evaluated rows does not
+    gram = ["gram", "--labels", "a,b,c", "--q", "0.5"]
+    assert "numpy" not in _loaded_after(argv=gram)
+    assert "numpy" in _loaded_after(argv=[*gram, "--check-psd"])
 
 
 def test_closed_stdout_is_a_one_line_error():

@@ -4,7 +4,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +28,7 @@ from quonstat import (
     oracle_scalar_product,
     permutation_basis,
     preset_rep,
+    psd_report,
     random_rep,
     state_scalar_product,
     tensor,
@@ -226,8 +226,9 @@ def test_gram_evaluation_is_bit_identical_to_per_entry_evaluation():
     assert hand_built.entries[0][0] is not hand_built.entries[0][2]
     for g in (shared, hand_built):
         for q in (0.5, -0.3, 1.7, -1.0, 1e-3):
-            expected = np.array([[e.evaluate(q) for e in row] for row in g.entries])
-            assert np.array_equal(g.evaluate(q), expected)
+            numeric = g.evaluate(q)
+            assert numeric == [[e.evaluate(q) for e in row] for row in g.entries]
+            assert all(type(value) is float for row in numeric for value in row)
 
 
 def zagier_determinant(n, q):
@@ -288,6 +289,13 @@ def test_check_psd_examples():
     assert report.min_eigenvalue == pytest.approx(-0.5)
     assert not report.q_in_range
     assert report.witness is not None
+
+
+def test_psd_check_refuses_an_empty_matrix():
+    with pytest.raises(ContractViolation, match="non-empty"):
+        check_psd(gram([]), 0.5)
+    with pytest.raises(ContractViolation, match="non-empty"):
+        psd_report([], 0.5)
 
 
 def test_check_psd_tolerance_validation():

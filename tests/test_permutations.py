@@ -157,6 +157,8 @@ def test_character_lookup_via_cycle_type():
     assert t3.character("standard", (2, 1, 3)) == 0
     assert t3.character("standard", (2, 3, 1)) == -1
     assert t3.character("sign", (2, 1, 3)) == -1
+    with pytest.raises(ContractViolation, match="not an element of S_3"):
+        t3.character("sign", (2, 1))
 
 
 def test_class_sizes_count_permutations():

@@ -1,0 +1,76 @@
+"""The package's record classes: built by keyword as the library builds
+them, immutable, and compared by value."""
+
+import copy
+from fractions import Fraction
+
+import pytest
+
+from quonstat import (
+    BoundRecord,
+    ChainRow,
+    CharacterTable,
+    CompositeSpec,
+    GramMatrix,
+    ModeLabel,
+    PsdReport,
+    QPolynomial,
+    RepCoefficients,
+    StateVector,
+    TwoCompositeResult,
+    preset_rep,
+)
+
+A, B = ModeLabel("a"), ModeLabel("b")
+ONE_PLUS_Q = QPolynomial([1, 1])
+
+RECORDS = [
+    (StateVector, {"terms": {(A, B): Fraction(1, 2)}}),
+    (RepCoefficients, {
+        "n": 2, "coeffs": {(1, 2): Fraction(1), (2, 1): Fraction(-1)}, "label": "x",
+    }),
+    (CompositeSpec, {"n": 2, "internal_labels": (1, 2), "rep": preset_rep(2, "symmetric")}),
+    (BoundRecord, {
+        "species": "e", "composite_of": "-", "n_constituents": 1, "epsilon": 1e-9,
+        "proximity": "near_fermi", "source": "test", "model_dependent": True,
+    }),
+    (GramMatrix, {"words": ((A, B), (B, A)), "entries": ((ONE_PLUS_Q, ONE_PLUS_Q),) * 2}),
+    (PsdReport, {
+        "passed": True, "min_eigenvalue": 0.5, "dimension": 2, "q_value": 0.5,
+        "q_in_range": True, "witness": None,
+    }),
+    (TwoCompositeResult, {
+        "direct": ONE_PLUS_Q, "exchange": QPolynomial.zero(), "cross": QPolynomial.zero(), "n": 2,
+    }),
+    (ChainRow, {
+        "species": "quark", "n": 3, "parity": "odd", "epsilon_first_order": 1e-10,
+        "epsilon_exact": 1e-10, "proximity": "near_fermi",
+    }),
+    (CharacterTable, {
+        "n": 2, "classes": (((1, 1), 1), ((2,), 1)), "irreps": (("trivial", 1, (1, 1)),),
+    }),
+]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_record_is_immutable_and_compared_by_value(cls, fields):
+    record = cls(**fields)
+    assert {name: getattr(record, name) for name in fields} == fields
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    assert cls(*fields.values()) == record
+    assert copy.copy(record) == record
+    assert repr(record).startswith(f"{cls.__name__}(")
+
+
+def test_validating_records_keep_their_defaults_and_hash():
+    rep = RepCoefficients(2, {(1, 2): 1})
+    assert rep.label == ""
+    assert rep.coeffs == {(1, 2): Fraction(1)}
+    record = BoundRecord("e", "-", 1, 1e-9, "near_bose", "test")
+    assert record.model_dependent is False
+    assert hash(record) == hash(BoundRecord("e", "-", 1, 1e-9, "near_bose", "test"))
+    assert record != BoundRecord("e", "-", 1, 1e-9, "near_fermi", "test")
