@@ -4,8 +4,8 @@ A state is a rational linear combination of equal-length creation words.
 The central objects here are the normalization polynomial of a
 representation-weighted state, the Gram matrix of a word basis, a numeric
 positive-semidefiniteness certificate, and the q-dependent weights of the
-symmetric-group irreps inside the n-quon state, each the normalization
-polynomial of the state projected onto one irrep.
+symmetric-group irreps inside the n-quon state, each the squared norm of
+the state projected onto one irrep, computed as a class sum over S_n.
 
 Scalar products of states and of single words go through one
 contraction engine, ``wick.contract_terms``, which ``contract`` adapts to
@@ -31,6 +31,8 @@ from .permutations import (
     RepCoefficients,
     all_permutations,
     character_table,
+    cycle_type,
+    inversion_number,
 )
 from .qpoly import QPolynomial
 from .record import Record
@@ -253,27 +255,33 @@ def irrep_weight_polys(n: int) -> dict[str, QPolynomial]:
     """Exact weight of each S_n irrep in the n-quon state of n distinct
     labels, as a polynomial in q.
 
-    The weight of an irrep is the squared norm of the canonical word
-    projected by its central idempotent (dim/n!) * sum_P chi(P) P: one
-    ``normalization_poly`` per irrep, with the scaled characters as the
-    representation coefficients.
+    The weight of irrep lambda is the squared norm of the canonical word
+    projected by the central idempotent e = (dim/n!) sum_P chi(P) P.  The
+    Gram matrix of the permutation basis is X_n = sum_P q^inv(P) P acting
+    in the regular representation, and e is central, self-adjoint and
+    idempotent, so that norm is the identity coefficient of X_n e: the
+    class sum (dim/n!) sum_P chi(P) q^inv(P).  One pass over S_n counts
+    the inversion numbers per cycle type; no state is contracted.
     """
     table = character_table(n)
-    labels = [ModeLabel(i) for i in range(1, n + 1)]
-    perms = list(all_permutations(n))
+    top = n * (n - 1) // 2
+    counts = {mu: [0] * (top + 1) for mu, _ in table.classes}
+    for p in all_permutations(n):
+        counts[cycle_type(p)][inversion_number(p)] += 1
     n_fact = math.factorial(n)
     out: dict[str, QPolynomial] = {}
-    for label, dim, _ in table.irreps:
-        projector = {p: Fraction(dim, n_fact) * table.character(label, p) for p in perms}
-        out[label] = normalization_poly(RepCoefficients(n, projector, label), labels)
+    for label, dim, chars in table.irreps:
+        class_sum = [
+            sum(chi * counts[mu][k] for chi, (mu, _) in zip(chars, table.classes))
+            for k in range(top + 1)
+        ]
+        out[label] = QPolynomial(Fraction(dim * c, n_fact) for c in class_sum)
     return out
 
 
 def irrep_weights(n: int, q_value: float) -> dict[str, float]:
     """q-dependent probabilities of the S_n irreps for n distinct quons;
     reproduces (1+q)/2 and (1-q)/2 at n=2.  Requires -1 < q < 1."""
-    if not 2 <= n <= 4:
-        raise UnsupportedError(f"irrep weights are supported for n in 2..4, not n={n}")
     if not -1.0 < q_value < 1.0:
         raise ContractViolation("irrep weights require -1 < q < 1")
     polys = irrep_weight_polys(n)

@@ -1,5 +1,5 @@
 """Permutations of S_n in one-line notation, representation coefficients,
-and bundled character tables for n <= 4.
+and the character tables of S_n, computed by the Murnaghan-Nakayama rule.
 
 A permutation is a tuple of the images of 1..n, e.g. ``(2, 1, 3)`` swaps
 the first two places.  Throughout the package permutations act as *place*
@@ -14,14 +14,15 @@ so they stay meaningful when labels repeat.
 
 import functools
 import math
-import random
 from fractions import Fraction
 from itertools import permutations as _itertools_permutations
-from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
-from .errors import CapExceeded, ContractViolation, ParseError, UnsupportedError, read_text
+from .errors import CapExceeded, ContractViolation, UnsupportedError
 from .record import Record
+
+if TYPE_CHECKING:
+    import random
 
 Permutation = tuple[int, ...]
 
@@ -94,12 +95,16 @@ def all_permutations(n: int) -> Iterator[Permutation]:
     """
     if n < 1:
         raise ContractViolation("n must be >= 1")
+    _refuse_above_cap(n)
+    return _itertools_permutations(range(1, n + 1))
+
+
+def _refuse_above_cap(n: int) -> None:
     if n > DEFAULT_ENUM_CAP:
         raise CapExceeded(
             f"refusing to enumerate S_{n} ({math.factorial(n)} elements); "
             f"cap is {DEFAULT_ENUM_CAP}"
         )
-    return _itertools_permutations(range(1, n + 1))
 
 
 class RepCoefficients(Record):
@@ -140,7 +145,7 @@ def preset_rep(n: int, kind: str) -> RepCoefficients:
     return RepCoefficients(n=n, coeffs=coeffs, label=kind)
 
 
-def random_rep(n: int, rng: random.Random, coeff_bound: int = 3) -> RepCoefficients:
+def random_rep(n: int, rng: "random.Random", coeff_bound: int = 3) -> RepCoefficients:
     """Random integer coefficient vector over S_n (at least one nonzero).
     Used to probe representation independence of composite statistics."""
     while True:
@@ -181,77 +186,69 @@ class CharacterTable(NamedTuple):
         raise ContractViolation(f"unknown irrep {label!r}")
 
 
-def _validate_table(table: CharacterTable) -> None:
-    n_fact = math.factorial(table.n)
-    sizes = [size for _, size in table.classes]
-    if sum(sizes) != n_fact:
-        raise ParseError(f"S_{table.n}: class sizes sum to {sum(sizes)}, not {n_fact}")
-    if sum(dim * dim for _, dim, _ in table.irreps) != n_fact:
-        raise ParseError(f"S_{table.n}: sum of squared dimensions is not {n_fact}")
-    # row orthogonality: sum_c |c| chi_l(c) chi_m(c) = n! delta_lm
-    for li, (_, _, chl) in enumerate(table.irreps):
-        for mi, (_, _, chm) in enumerate(table.irreps):
-            acc = sum(s * a * b for s, a, b in zip(sizes, chl, chm))
-            expect = n_fact if li == mi else 0
-            if acc != expect:
-                raise ParseError(
-                    f"S_{table.n}: row orthogonality fails for irreps {li},{mi}"
-                )
-    # column orthogonality: sum_l chi_l(c) chi_l(c') = delta_cc' n!/|c|
-    for ci in range(len(table.classes)):
-        for cj in range(len(table.classes)):
-            acc = sum(chars[ci] * chars[cj] for _, _, chars in table.irreps)
-            expect = n_fact // sizes[ci] if ci == cj else 0
-            if acc != expect:
-                raise ParseError(
-                    f"S_{table.n}: column orthogonality fails for classes {ci},{cj}"
-                )
+# the irreps of S_3 and S_4 other than trivial and sign, by their
+# textbook names (the ones ``weights`` prints)
+_NAMES = {(2, 1): "standard", (3, 1): "standard", (2, 2): "two_dim", (2, 1, 1): "standard_sign"}
 
 
-def _parse_tables(text: str) -> dict[int, CharacterTable]:
-    tables: dict[int, CharacterTable] = {}
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    i = 0
-    while i < len(lines):
-        head = lines[i].split()
-        if len(head) != 2 or head[0] != "n":
-            raise ParseError(f"expected 'n <N>' header, got {lines[i]!r}")
-        n = int(head[1])
-        cols = lines[i + 1].split("\t")
-        if cols[:2] != ["cycle_type", "size"]:
-            raise ParseError(f"bad column header for n={n}")
-        irrep_heads = []
-        for col in cols[2:]:
-            label, _, dim = col.partition(":")
-            irrep_heads.append((label, int(dim)))
-        classes = []
-        chars_by_irrep: list[list[int]] = [[] for _ in irrep_heads]
-        i += 2
-        while i < len(lines) and lines[i].split()[0] != "n":
-            fields = lines[i].split("\t")
-            ct = tuple(int(part) for part in fields[0].split("+"))
-            classes.append((ct, int(fields[1])))
-            for k, value in enumerate(fields[2:]):
-                chars_by_irrep[k].append(int(value))
-            i += 1
-        irreps = tuple(
-            (label, dim, tuple(chars))
-            for (label, dim), chars in zip(irrep_heads, chars_by_irrep)
-        )
-        table = CharacterTable(n=n, classes=tuple(classes), irreps=irreps)
-        _validate_table(table)
-        tables[n] = table
-    return tables
+def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n with parts <= largest, in descending (reverse-lex)
+    order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first, *rest)
 
 
-@functools.lru_cache(maxsize=1)
-def _bundled_tables() -> dict[int, CharacterTable]:
-    return _parse_tables(read_text(Path(__file__).parent / "data" / "character_tables.txt"))
+@functools.lru_cache(maxsize=None)
+def _mn_character(beta: frozenset, mu: tuple[int, ...]) -> int:
+    """Character of the irrep with beta-numbers ``beta`` on cycle type
+    ``mu``, by the Murnaghan-Nakayama rule: removing a rim hook of length
+    r moves one bead from b to the free place b - r, with the sign
+    (-1)^(beads jumped over)."""
+    if not mu:
+        return 1
+    r, rest = mu[0], mu[1:]
+    total = 0
+    for b in beta:
+        if b >= r and b - r not in beta:
+            jumped = sum(b - r < c < b for c in beta)
+            total += (-1) ** jumped * _mn_character(beta - {b} | {b - r}, rest)
+    return total
 
 
 def character_table(n: int) -> CharacterTable:
-    """Bundled character table of S_n, 2 <= n <= 4, orthogonality-checked
-    at load."""
-    if not 2 <= n <= 4:
-        raise UnsupportedError(f"character tables are bundled for n in 2..4, not n={n}")
-    return _bundled_tables()[n]
+    """Character table of S_n, 2 <= n <= DEFAULT_ENUM_CAP (8), by the
+    Murnaghan-Nakayama rule.
+
+    Irreps are listed by partition in descending (reverse-lex) order and
+    conjugacy classes by cycle type in the reverse order, so the identity
+    class comes first and holds the dimensions.  (n) is named trivial and
+    (1^n) sign; the other irreps of S_3 and S_4 keep the names standard,
+    two_dim and standard_sign, and those of larger n are named by their
+    parts, e.g. ``3+1+1``.
+    """
+    if n < 2:
+        raise UnsupportedError(f"character tables need n >= 2, not n={n}")
+    _refuse_above_cap(n)
+    shapes = list(_partitions(n, n))
+    classes = []
+    for mu in reversed(shapes):
+        z = 1
+        for part in set(mu):
+            z *= part ** mu.count(part) * math.factorial(mu.count(part))
+        classes.append((mu, math.factorial(n) // z))
+    irreps = []
+    for shape in shapes:
+        beta = frozenset(part + len(shape) - 1 - i for i, part in enumerate(shape))
+        chars = tuple(_mn_character(beta, mu) for mu, _ in classes)
+        if shape == (n,):
+            name = "trivial"
+        elif shape == (1,) * n:
+            name = "sign"
+        else:
+            name = _NAMES.get(shape, "+".join(map(str, shape)))
+        irreps.append((name, chars[0], chars))
+    return CharacterTable(n=n, classes=tuple(classes), irreps=tuple(irreps))

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import ContractViolation, ParseError
+from .record import Record
 
 Coefficient = Union[int, Fraction]
 
@@ -31,18 +32,13 @@ def _trim(coeffs: list) -> tuple:
     return tuple(coeffs)
 
 
-class QPolynomial:
+class QPolynomial(Record):
     """Polynomial in q with exact rational coefficients, index = power."""
 
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Iterable[Coefficient] = ()):
-        object.__setattr__(
-            self, "coefficients", _trim([Fraction(c) for c in coefficients])
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QPolynomial is immutable")
+        self._set(_trim([Fraction(c) for c in coefficients]))
 
     @classmethod
     def _from_trimmed(cls, coeffs: tuple) -> "QPolynomial":

@@ -7,15 +7,49 @@ from fractions import Fraction
 from itertools import combinations
 
 from quonstat import (
+    CharacterTable,
     ModeLabel,
     QPolynomial,
+    RepCoefficients,
     StateVector,
     all_permutations,
     character_table,
     delta_matrix,
     gram,
+    normalization_poly,
     q_permanent,
 )
+
+# The character tables of S_2..S_4 as they were once bundled with the
+# package, typed from the textbook tables: (cycle type, class size) per
+# class, (name, dimension, characters) per irrep.
+CHARACTER_TABLES = {
+    2: CharacterTable(
+        n=2,
+        classes=(((1, 1), 1), ((2,), 1)),
+        irreps=(("trivial", 1, (1, 1)), ("sign", 1, (1, -1))),
+    ),
+    3: CharacterTable(
+        n=3,
+        classes=(((1, 1, 1), 1), ((2, 1), 3), ((3,), 2)),
+        irreps=(
+            ("trivial", 1, (1, 1, 1)),
+            ("standard", 2, (2, 0, -1)),
+            ("sign", 1, (1, -1, 1)),
+        ),
+    ),
+    4: CharacterTable(
+        n=4,
+        classes=(((1, 1, 1, 1), 1), ((2, 1, 1), 6), ((2, 2), 3), ((3, 1), 8), ((4,), 6)),
+        irreps=(
+            ("trivial", 1, (1, 1, 1, 1, 1)),
+            ("standard", 3, (3, 1, -1, 0, -1)),
+            ("two_dim", 2, (2, 0, 2, -1, 0)),
+            ("standard_sign", 3, (3, -1, -1, 0, 1)),
+            ("sign", 1, (1, -1, 1, 1, -1)),
+        ),
+    ),
+}
 
 
 def pairwise_dp_scalar(left: StateVector, right: StateVector) -> QPolynomial:
@@ -90,6 +124,22 @@ def pairwise_irrep_weights(n: int) -> dict[str, QPolynomial]:
                     continue
                 weight = weight + (ci * cj) * g.entries[i][j]
         out[label] = weight
+    return out
+
+
+def projected_norm_irrep_weights(n: int) -> dict[str, QPolynomial]:
+    """Irrep weights of ``fock.irrep_weight_polys`` as the squared norm of
+    the canonical word projected by each central idempotent
+    (dim/n!) * sum_P chi(P) P: one ``normalization_poly`` per irrep, with
+    the scaled characters as the representation coefficients."""
+    table = character_table(n)
+    labels = [ModeLabel(i) for i in range(1, n + 1)]
+    perms = list(all_permutations(n))
+    n_fact = math.factorial(n)
+    out: dict[str, QPolynomial] = {}
+    for label, dim, _ in table.irreps:
+        projector = {p: Fraction(dim, n_fact) * table.character(label, p) for p in perms}
+        out[label] = normalization_poly(RepCoefficients(n, projector, label), labels)
     return out
 
 

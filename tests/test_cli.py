@@ -208,10 +208,23 @@ def test_weights(capsys):
     assert out == "trivial\t0.65\nsign\t0.35\n"
 
 
+def test_weights_names_the_irreps_of_s5(capsys):
+    code, out, _ = run(capsys, "weights", "--n", "5", "--q", "0.3")
+    assert code == 0
+    weights = dict(line.split("\t") for line in out.splitlines())
+    assert list(weights) == ["trivial", "4+1", "3+2", "3+1+1", "2+2+1", "2+1+1+1", "sign"]
+    assert sum(map(float, weights.values())) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_weights_unsupported_n(capsys):
-    code, _, err = run(capsys, "weights", "--n", "6", "--q", "0.0")
+    # the S_n enumeration cap is the only upper limit
+    code, _, err = run(capsys, "weights", "--n", "9", "--q", "0.0")
     assert code == 1
-    assert "2..4" in err
+    assert err.startswith("error: ") and "cap is 8" in err
+    assert len(err.splitlines()) == 1
+    code, _, err = run(capsys, "weights", "--n", "1", "--q", "0.0")
+    assert code == 1
+    assert err.startswith("error: ")
 
 
 def test_composite_exponent_quark_model(capsys):
@@ -398,7 +411,7 @@ def test_every_operation_reachable_from_cli(tmp_path, capsys):
         assert out
 
 
-START_UP_EXCLUDED = ("numpy", "dataclasses", "inspect", "importlib.resources")
+START_UP_EXCLUDED = ("numpy", "dataclasses", "inspect", "importlib.resources", "random")
 
 
 def _loaded_after(*python_flags, argv=()):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quonstat import (
+    CapExceeded,
     ContractViolation,
     GramMatrix,
     ModeLabel,
@@ -17,6 +18,7 @@ from quonstat import (
     UnsupportedError,
     all_permutations,
     build_state,
+    character_table,
     check_psd,
     compose,
     gram,
@@ -36,7 +38,7 @@ from quonstat import (
 from quonstat import fock
 from quonstat.fock import contract
 
-from oracles import exact_pivots, pairwise_irrep_weights
+from oracles import exact_pivots, pairwise_irrep_weights, projected_norm_irrep_weights
 
 A, B, C = ModeLabel("a"), ModeLabel("b"), ModeLabel("c")
 
@@ -255,25 +257,21 @@ def test_gram_exact_determinant_and_pivots():
 
 
 def test_irrep_weights_are_projected_norms_matching_pairwise_sum(monkeypatch):
-    # one normalization of the projected state per irrep, no Gram matrix;
-    # the oracle builds its own Gram matrix through the unpatched import
-    def no_gram(words):
-        raise AssertionError("irrep_weight_polys must not build a Gram matrix")
+    # no Gram matrix, no state norm and no engine call; the oracles run
+    # afterwards through the unpatched functions
+    def no_engine(*args):
+        raise AssertionError("irrep_weight_polys must not contract states")
 
-    calls = []
-    normalize = fock.normalization_poly
-
-    def counted(rep, labs):
-        calls.append(rep)
-        return normalize(rep, labs)
-
-    monkeypatch.setattr(fock, "gram", no_gram)
-    monkeypatch.setattr(fock, "normalization_poly", counted)
-    for n in range(2, 5):
-        calls.clear()
-        polys = irrep_weight_polys(n)
-        assert len(calls) == len(polys)
-        assert polys == pairwise_irrep_weights(n)
+    polys = {}
+    with monkeypatch.context() as patch:
+        for name in ("gram", "normalization_poly", "contract_terms", "scalar_product"):
+            patch.setattr(fock, name, no_engine)
+        for n in range(2, 7):
+            polys[n] = irrep_weight_polys(n)
+    for n in range(2, 7):
+        assert polys[n] == projected_norm_irrep_weights(n)
+        if n <= 4:
+            assert polys[n] == pairwise_irrep_weights(n)
 
 
 def test_check_psd_examples():
@@ -408,7 +406,7 @@ def test_irrep_weights_near_fermi():
 
 
 def test_irrep_weights_sum_to_one_and_nonnegative():
-    for n in (2, 3, 4):
+    for n in range(2, 8):
         for k in range(21):
             q = -0.95 + k * 0.095
             weights = irrep_weights(n, q)
@@ -416,8 +414,25 @@ def test_irrep_weights_sum_to_one_and_nonnegative():
             assert all(w >= -1e-12 for w in weights.values())
 
 
+def test_irrep_weight_polys_exact_certificate():
+    # the weights sum to 1 as polynomials; bosons (q = 1) are all in the
+    # trivial irrep, fermions (q = -1) all in the sign irrep, and at q = 0
+    # the weights are the Plancherel measure dim^2 / n!
+    for n in range(2, 9):
+        polys = irrep_weight_polys(n)
+        assert sum(polys.values(), QPolynomial.zero()) == 1
+        dims = {label: dim for label, dim, _ in character_table(n).irreps}
+        assert dims.keys() == polys.keys()
+        for label, poly in polys.items():
+            assert poly.evaluate(1) == (label == "trivial")
+            assert poly.evaluate(-1) == (label == "sign")
+            assert poly.evaluate(0) == Fraction(dims[label] ** 2, math.factorial(n))
+
+
 def test_irrep_weights_range_checks():
     with pytest.raises(UnsupportedError):
-        irrep_weights(5, 0.0)
+        irrep_weights(1, 0.0)
+    with pytest.raises(CapExceeded):
+        irrep_weights(9, 0.0)
     with pytest.raises(ContractViolation):
         irrep_weights(2, 1.0)

@@ -24,6 +24,8 @@ from quonstat import (
 )
 from quonstat.permutations import check_permutation
 
+from oracles import CHARACTER_TABLES
+
 
 def test_inversion_number_examples():
     assert inversion_number((1, 2, 3)) == 0
@@ -128,16 +130,29 @@ def test_character_table_dimensions():
     assert sum(dim * dim for _, dim, _ in t4.irreps) == 24
 
 
+def test_character_tables_equal_the_textbook_tables():
+    for n, table in CHARACTER_TABLES.items():
+        assert character_table(n) == table
+
+
+def test_character_table_names_irreps_by_partition_above_four():
+    table = character_table(5)
+    assert table.labels == ("trivial", "4+1", "3+2", "3+1+1", "2+2+1", "2+1+1+1", "sign")
+    assert table.dimension("3+1+1") == 6
+    assert table.character("3+1+1", (2, 3, 4, 5, 1)) == 1
+    assert len(character_table(8).irreps) == 22
+
+
 def test_character_table_unsupported():
     with pytest.raises(UnsupportedError):
-        character_table(5)
-    with pytest.raises(UnsupportedError):
         character_table(1)
+    # the S_n enumeration cap is the only upper limit
+    with pytest.raises(CapExceeded, match="cap is 8"):
+        character_table(9)
 
 
 def test_character_orthogonality_rows_and_columns():
-    # the loader validates too; re-verify here directly from the data
-    for n in (2, 3, 4):
+    for n in range(2, 9):
         table = character_table(n)
         sizes = [size for _, size in table.classes]
         for li, (_, _, chl) in enumerate(table.irreps):
@@ -162,7 +177,7 @@ def test_character_lookup_via_cycle_type():
 
 
 def test_class_sizes_count_permutations():
-    for n in (2, 3, 4):
+    for n in range(2, 9):
         table = character_table(n)
         counted = {ct: 0 for ct, _ in table.classes}
         for p in all_permutations(n):

@@ -2,6 +2,7 @@
 them, immutable, and compared by value."""
 
 import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ A, B = ModeLabel("a"), ModeLabel("b")
 ONE_PLUS_Q = QPolynomial([1, 1])
 
 RECORDS = [
+    (QPolynomial, {"coefficients": (Fraction(1), Fraction(0), Fraction(-2))}),
     (StateVector, {"terms": {(A, B): Fraction(1, 2)}}),
     (RepCoefficients, {
         "n": 2, "coeffs": {(1, 2): Fraction(1), (2, 1): Fraction(-1)}, "label": "x",
@@ -64,6 +66,13 @@ def test_record_is_immutable_and_compared_by_value(cls, fields):
     assert cls(*fields.values()) == record
     assert copy.copy(record) == record
     assert repr(record).startswith(f"{cls.__name__}(")
+
+
+@pytest.mark.parametrize("cls", [QPolynomial, GramMatrix, TwoCompositeResult])
+def test_records_holding_polynomials_deep_copy_and_pickle(cls):
+    record = cls(**dict(RECORDS)[cls])
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
 
 
 def test_validating_records_keep_their_defaults_and_hash():
