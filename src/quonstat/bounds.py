@@ -9,6 +9,7 @@ records alike.
 """
 
 import math
+import sys
 import warnings
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -53,10 +54,19 @@ class BoundRecord(Record):
         )
 
 
-def propagate_first_order(epsilon_composite: float, n: int) -> float:
-    """Constituent deviation at first order: epsilon / n^2."""
+def _squared(n: int) -> int:
+    """n^2 for a constituent count n >= 1 whose square a float can hold."""
     if n < 1:
         raise ContractViolation("n must be >= 1")
+    n_sq = n * n
+    if n_sq > sys.float_info.max:
+        raise ContractViolation("n is too large: n^2 does not fit a float")
+    return n_sq
+
+
+def propagate_first_order(epsilon_composite: float, n: int) -> float:
+    """Constituent deviation at first order: epsilon / n^2."""
+    n_sq = _squared(n)
     if not (math.isfinite(epsilon_composite) and epsilon_composite > 0):
         raise ContractViolation("epsilon must be positive and finite")
     if epsilon_composite > FIRST_ORDER_HONEST_RANGE:
@@ -65,7 +75,7 @@ def propagate_first_order(epsilon_composite: float, n: int) -> float:
             "only honest for small deviations",
             stacklevel=2,
         )
-    return epsilon_composite / (n * n)
+    return epsilon_composite / n_sq
 
 
 def propagate_exact(epsilon_composite: float, n: int) -> float:
@@ -75,11 +85,9 @@ def propagate_exact(epsilon_composite: float, n: int) -> float:
     composite parameter is negative, which has a real constituent root
     only when n is odd.
     """
-    if n < 1:
-        raise ContractViolation("n must be >= 1")
+    n_sq = _squared(n)
     if not 0 < epsilon_composite < 2:
         raise ContractViolation("epsilon must lie in (0, 2)")
-    n_sq = n * n
     if epsilon_composite == 1:
         return 1.0
     if epsilon_composite < 1:

@@ -14,30 +14,29 @@ two-composite states splits over pairing diagrams by block structure:
              composites; vanishes identically when the four tags are
              pairwise distinct and is only nonzero under forced overlap.
 
-With distinct tags on each side, ``two_composite_scalar`` splits each
-pairing by the set S of left positions it sends into the first right
-composite (Rosso's quantum-shuffle coproduct on the Bozejko-Speicher
-pairing rule).  The tag test leaves at most one S, a whole left block;
-its crossings with the rest are counted, which gives the q^(n^2) of the
-swap, and each left block pairs with its right composite in one state
-product.  A zero cross term means that no mixed S passed the test.
-
-Under forced overlap (all four tags equal) mixed S survive, and
-``fock.contract`` contracts the product in full, each residual operator
-remembering which right composite it came from; that is refused beyond
-``MAX_FULL_ORACLE_N``.
+``two_composite_scalar`` splits each pairing by the set S of left
+positions it sends into the first right composite (Rosso's quantum-shuffle
+coproduct on the Bozejko-Speicher pairing rule).  The two whole left
+blocks are the direct and the exchange S: their crossings with the rest
+are counted, which gives the q^(n^2) of the swap, and each left block
+pairs with its right composite in one state product.  A mixed S sends
+operators of both left composites into one right composite, so the tag
+test passes it only when a side repeats a tag.  With distinct tags on
+both sides the cross term is therefore zero; otherwise it is the full
+product less the two whole-block terms, one more engine call on the
+2n-operator states, which is refused beyond ``MAX_OVERLAP_N``.
 """
 
 from typing import Hashable, NamedTuple, Sequence
 
 from .errors import CapExceeded, ContractViolation, TheoremViolation
-from .fock import StateVector, build_state, contract, normalization_poly, state_scalar_product, tensor
+from .fock import StateVector, build_state, normalization_poly, state_scalar_product, tensor
 from .permutations import Permutation, RepCoefficients, inversion_number
 from .qpoly import QPolynomial
 from .record import Record
 from .wick import ModeLabel
 
-MAX_FULL_ORACLE_N = 4    # full contraction under forced overlap (--overlap)
+MAX_OVERLAP_N = 4        # two-composite products with a repeated tag on one side
 MAX_COMPOSITE_N = 6      # two-composite products with distinct tags
 
 BOSON = "boson"
@@ -86,29 +85,6 @@ def block_swap(n: int) -> Permutation:
     return tuple(range(n + 1, 2 * n + 1)) + tuple(range(1, n + 1))
 
 
-def _buckets(hits: Sequence[QPolynomial], n: int) -> TwoCompositeResult:
-    """Components from ``hits[h]``, the pairings in which h operators of
-    the first left composite land in the first right composite."""
-    cross = sum(hits[1:n], QPolynomial.zero())
-    return TwoCompositeResult(direct=hits[n], exchange=hits[0], cross=cross, n=n)
-
-
-def _classified_scalar(
-    spec: CompositeSpec,
-    left_tags: Sequence[Hashable],
-    right_tags: Sequence[Hashable],
-) -> TwoCompositeResult:
-    """Full-contraction path: annihilate the 2n left operators from the
-    right product state, bucketed by how many of the first left
-    composite's n operators land in the first right composite."""
-    n = spec.n
-    t1, t2 = left_tags
-    u1, u2 = right_tags
-    left = tensor(composite_word(spec, t1), composite_word(spec, t2))
-    right = tensor(composite_word(spec, u1), composite_word(spec, u2))
-    return _buckets(contract(left, right, split=n), n)
-
-
 def two_composite_scalar(
     spec: CompositeSpec,
     left_tags: Sequence[Hashable],
@@ -119,30 +95,40 @@ def two_composite_scalar(
 
     A pairing sends a set S of left positions into the first right
     composite; its crossings are those inside S, those inside the rest,
-    and #{i < j : i not in S, j in S}.  Tags must agree and are constant
-    per block, so only S = {positions tagged u1} can survive, if it has
-    n positions; the rest pair with the second composite only if tagged
-    u2, which the second state product tests.  S adds q^crossings times
-    the two block-by-composite products to bucket |S & first block|.
+    and #{i < j : i not in S, j in S}.  The direct and exchange
+    components are the two whole-block S, each q^crossings times two
+    composite-by-composite state products.  A mixed S sends operators of
+    both left composites into one right composite, so it survives the tag
+    test only if a side repeats a tag.  With distinct tags on both sides
+    the cross component is therefore zero; otherwise it is the full
+    product of the two tensor states less the whole-block terms.
     """
     n = spec.n
-    t1, t2 = left_tags
-    u1, u2 = right_tags
-    if t1 == t2 or u1 == u2:
-        raise ContractViolation("the two composites on each side must carry distinct tags")
+    (t1, t2), (u1, u2) = left_tags, right_tags
     if n > MAX_COMPOSITE_N:
         raise CapExceeded(f"two-composite scalar products are capped at n={MAX_COMPOSITE_N}")
-    tags = (t1,) * n + (t2,) * n
-    s = [i for i, tag in enumerate(tags) if tag == u1]
-    rest = [i for i, tag in enumerate(tags) if tag != u1]
-    hits = [QPolynomial.zero()] * (n + 1)
-    if len(s) == n:
-        crossings = sum(i < j for i in rest for j in s)
-        blocks = (composite_word(spec, t1), composite_word(spec, t2))
-        on_s = state_scalar_product(blocks[s[0] // n], composite_word(spec, u1))
-        off_s = state_scalar_product(blocks[rest[0] // n], composite_word(spec, u2))
-        hits[sum(i < n for i in s)] = QPolynomial.monomial(crossings) * on_s * off_s
-    return _buckets(hits, n)
+    overlap = t1 == t2 or u1 == u2
+    if overlap and n > MAX_OVERLAP_N:
+        raise CapExceeded(f"overlap contraction is capped at n={MAX_OVERLAP_N}")
+    words = {tag: composite_word(spec, tag) for tag in dict.fromkeys((t1, t2, u1, u2))}
+    products = {
+        (t, u): state_scalar_product(words[t], words[u])
+        for t, u in dict.fromkeys(((t1, u1), (t2, u2), (t2, u1), (t1, u2)))
+    }
+    # S is left block k: it pairs with u1 and the other block with u2
+    whole_blocks = []
+    for k in (0, 1):
+        s = range(k * n, (k + 1) * n)
+        crossings = sum(i < j for i in range(2 * n) if i not in s for j in s)
+        on_s = products[left_tags[k], u1]
+        off_s = products[left_tags[1 - k], u2]
+        whole_blocks.append(QPolynomial.monomial(crossings) * on_s * off_s)
+    direct, exchange = whole_blocks
+    cross = QPolynomial.zero()
+    if overlap:
+        full = state_scalar_product(tensor(words[t1], words[t2]), tensor(words[u1], words[u2]))
+        cross = full - direct - exchange
+    return TwoCompositeResult(direct=direct, exchange=exchange, cross=cross, n=n)
 
 
 def exchange_law(
@@ -203,12 +189,8 @@ def cross_term_magnitude(spec: CompositeSpec, shared_tags: bool) -> QPolynomial:
     With all four tags equal the constituents of every composite can
     contract into both composites on the other side; the returned
     polynomial quantifies the correction the weak-binding assumption
-    drops; it needs the full contraction, so n > 4 is refused.  With
-    four pairwise-distinct tags it is the cross component of
-    ``two_composite_scalar``, which no pairing reaches.
+    drops; it needs the full contraction, so n > MAX_OVERLAP_N is
+    refused.  With four pairwise-distinct tags no pairing reaches it.
     """
-    if not shared_tags:
-        return two_composite_scalar(spec, ("t1", "t2"), ("u1", "u2")).cross
-    if spec.n > MAX_FULL_ORACLE_N:
-        raise CapExceeded(f"overlap contraction is capped at n={MAX_FULL_ORACLE_N}")
-    return _classified_scalar(spec, ("t", "t"), ("t", "t")).cross
+    left_tags, right_tags = (("t", "t"), ("t", "t")) if shared_tags else (("t1", "t2"), ("u1", "u2"))
+    return two_composite_scalar(spec, left_tags, right_tags).cross

@@ -8,11 +8,11 @@ symmetric-group irreps inside the n-quon state, each the squared norm of
 the state projected onto one irrep, computed as a class sum over S_n.
 
 Scalar products of states and of single words go through one
-contraction engine, ``wick.contract_terms``, which ``contract`` adapts to
-`StateVector`: the left words act as quon annihilators on the sparse right
-state (the q-Fock-space action of Bozejko and Speicher), so the work
-grows with the residual support rather than with the number of word
-pairs.  A Gram matrix calls the engine once per distinct pattern of equal
+contraction engine, ``wick.contract_terms``, which ``state_scalar_product``
+calls once on the terms of two `StateVector`: the left words act as quon
+annihilators on the sparse right state (the q-Fock-space action of
+Bozejko and Speicher), so the work grows with the residual support rather
+than with the number of word pairs.  A Gram matrix calls the engine once per distinct pattern of equal
 labels in a word pair (n! times for the permutation basis of n distinct
 labels, not (n!)^2), its entries share one object per pattern, and the
 float evaluation runs once per shared object.
@@ -93,19 +93,10 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(terms)
 
 
-def contract(left: StateVector, right: StateVector, split: int = 0) -> list[QPolynomial]:
-    """Scalar product <left|right> by the quon annihilator action of
-    ``wick.contract_terms``, bucketed by block structure: ``hits[h]``
-    collects the pairings in which exactly h of the first ``split`` left
-    letters are annihilated against right positions below ``split``.
-    With the default ``split=0`` the whole product is ``hits[0]``.
-    """
-    return contract_terms(left.terms.items(), right.terms.items(), split)
-
-
 def state_scalar_product(left: StateVector, right: StateVector) -> QPolynomial:
-    """Bilinear extension of the word scalar product, by ``contract``."""
-    return contract(left, right)[0]
+    """Bilinear extension of the word scalar product, by one
+    ``wick.contract_terms`` call."""
+    return contract_terms(left.terms.items(), right.terms.items())
 
 
 def normalization_poly(rep: RepCoefficients, labels: Sequence[ModeLabel]) -> QPolynomial:
@@ -284,7 +275,5 @@ def irrep_weights(n: int, q_value: float) -> dict[str, float]:
     reproduces (1+q)/2 and (1-q)/2 at n=2.  Requires -1 < q < 1."""
     if not -1.0 < q_value < 1.0:
         raise ContractViolation("irrep weights require -1 < q < 1")
-    polys = irrep_weight_polys(n)
-    raw = {label: poly.evaluate(float(q_value)) for label, poly in polys.items()}
-    total = sum(raw.values())
-    return {label: value / total for label, value in raw.items()}
+    x = float(q_value)
+    return {label: poly.evaluate(x) for label, poly in irrep_weight_polys(n).items()}

@@ -102,7 +102,7 @@ def all_permutations(n: int) -> Iterator[Permutation]:
 def _refuse_above_cap(n: int) -> None:
     if n > DEFAULT_ENUM_CAP:
         raise CapExceeded(
-            f"refusing to enumerate S_{n} ({math.factorial(n)} elements); "
+            f"refusing to enumerate S_{n} ({n}! elements); "
             f"cap is {DEFAULT_ENUM_CAP}"
         )
 

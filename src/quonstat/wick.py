@@ -12,8 +12,10 @@ Two independent evaluation paths are provided on purpose:
 * ``oracle_scalar_product`` / ``oracle_q_permanent`` enumerate all n!
   pairings literally and serve as the ground truth;
 * ``scalar_product`` runs the contraction engine ``contract_terms``, which
-  applies the left word as quon annihilators to the right word; the
-  states of ``fock`` go through the same engine.
+  applies the left word as quon annihilators to the right word and
+  returns the whole product as one polynomial; the states of ``fock``
+  and the two-composite products of ``composite`` go through the same
+  engine.
 
 ``q_permanent`` evaluates the same weighted sum for an arbitrary square
 matrix by a dynamic program over subsets of used columns, with
@@ -53,10 +55,6 @@ class ModeLabel(NamedTuple):
 
 
 Word = tuple[ModeLabel, ...]
-
-
-def word(*labels: ModeLabel) -> Word:
-    return tuple(labels)
 
 
 def delta_matrix(left: Sequence[ModeLabel], right: Sequence[ModeLabel]) -> list[list[int]]:
@@ -176,7 +174,7 @@ def oracle_q_permanent(matrix: Sequence[Sequence]) -> QPolynomial:
     return QPolynomial(coeffs)
 
 
-def contract_terms(left: Iterable, right: Iterable, split: int = 0) -> list[QPolynomial]:
+def contract_terms(left: Iterable, right: Iterable) -> QPolynomial:
     """Scalar product of two linear combinations of words by the quon
     annihilator action.
 
@@ -198,15 +196,10 @@ def contract_terms(left: Iterable, right: Iterable, split: int = 0) -> list[QPol
     integer with a signed field of fixed width per power of q; no field
     can exceed m! * sum|left| * sum|right|, the number of pairings times
     the coefficient mass.
-
-    The result is bucketed by block structure: ``hits[h]`` collects the
-    pairings in which exactly h of the first ``split`` left letters are
-    annihilated against right positions below ``split``.  With the
-    default ``split=0`` the whole product is ``hits[0]``.
     """
     left, right = list(left), list(right)
     if not left or not right or len(left[0][0]) != len(right[0][0]):
-        return [QPolynomial.zero()] * (split + 1)
+        return QPolynomial.zero()
     m = len(left[0][0])
     left_coeffs, left_scale = _clear_denominators(c for _, c in left)
     right_coeffs, right_scale = _clear_denominators(c for _, c in right)
@@ -215,11 +208,10 @@ def contract_terms(left: Iterable, right: Iterable, split: int = 0) -> list[QPol
     )
     ids: dict = {}
 
-    # residual letters are 2*label + block bit (1 at or past ``split``);
-    # a state key is (residual word, hits so far)
+    # residual words are tuples of label ids
     state: dict = {}
     for (w, _), c in zip(right, right_coeffs):
-        key = (tuple(2 * ids.setdefault(k, len(ids)) + (j >= split) for j, k in enumerate(w)), 0)
+        key = tuple(ids.setdefault(k, len(ids)) for k in w)
         state[key] = state.get(key, 0) + c
 
     trie: dict = {}
@@ -229,28 +221,23 @@ def contract_terms(left: Iterable, right: Iterable, split: int = 0) -> list[QPol
             node = node.setdefault(ids.setdefault(k, len(ids)), {})
         node[None] = node.get(None, 0) + c
 
-    hits = [0] * (split + 1)
-
     def descend(node, depth, state):
         if depth == m:
-            c = node[None]
-            for (_, h), value in state.items():
-                hits[h] += c * value
-            return
-        counting = depth < split
+            return node[None] * state[()]
+        total = 0
         for k, child in node.items():
             nxt: dict = {}
-            for (residual, h), value in state.items():
+            for residual, value in state.items():
                 for j, letter in enumerate(residual):
-                    if letter >> 1 != k:
+                    if letter != k:
                         continue
-                    key = (residual[:j] + residual[j + 1:], h + (counting and not letter & 1))
+                    key = residual[:j] + residual[j + 1:]
                     nxt[key] = nxt.get(key, 0) + (value << j * width)
             if nxt:
-                descend(child, depth + 1, nxt)
+                total += descend(child, depth + 1, nxt)
+        return total
 
-    descend(trie, 0, state)
-    return [_unpack(value, width, left_scale * right_scale) for value in hits]
+    return _unpack(descend(trie, 0, state), width, left_scale * right_scale)
 
 
 def scalar_product(left: Word, right: Word) -> QPolynomial:
@@ -261,7 +248,7 @@ def scalar_product(left: Word, right: Word) -> QPolynomial:
         raise CapExceeded(
             f"scalar_product is capped at {Q_PERMANENT_CAP} letters per word, got {len(left)}"
         )
-    return contract_terms([(left, 1)], [(right, 1)])[0]
+    return contract_terms([(left, 1)], [(right, 1)])
 
 
 def oracle_scalar_product(left: Word, right: Word) -> QPolynomial:

@@ -166,8 +166,8 @@ def shuffle_split_scalar(
     left: StateVector, first: StateVector, second: StateVector, split: int
 ) -> list[QPolynomial]:
     """<left | first second> by the q-shuffle split of each left word, in
-    the buckets of ``fock.contract``: ``hits[h]`` collects the pairings in
-    which h of the first ``split`` left letters land in ``first``.
+    buckets: ``hits[h]`` collects the pairings in which h of the first
+    ``split`` left letters land in ``first``.
 
     A pairing sends a set S of left positions into ``first`` and the rest
     into ``second``; its crossings are those inside S, those inside the

@@ -95,6 +95,18 @@ def test_exact_boundary_cases():
         propagate_exact(0.0, 3)
 
 
+def test_counts_whose_square_overflows_a_float_are_refused():
+    # 10**154 squared still fits a float; 10**155 squared does not
+    assert propagate_first_order(1e-3, 10**154) == pytest.approx(1e-311)
+    assert 0 < propagate_exact(1e-3, 10**154) < 1e-300
+    for propagate in (propagate_first_order, propagate_exact):
+        with pytest.raises(ContractViolation, match="does not fit a float"):
+            propagate(1e-3, 10**155)
+    records = load_bundled_limits()
+    with pytest.raises(ContractViolation, match="does not fit a float"):
+        derive_chain(records, [("O16", 1), ("nucleon", 10**155)])
+
+
 def test_bound_record_invariants():
     with pytest.raises(ContractViolation):
         BoundRecord("x", "y", 0, 1e-9, "near_bose", "src")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quonstat import composite
+from quonstat import composite, fock
 from quonstat.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -251,29 +251,32 @@ def test_composite_overlap_cross(capsys):
 
 @pytest.mark.parametrize("overlap, full", [((), 0), (("--overlap",), 1)], ids=["plain", "overlap"])
 def test_composite_contracts_each_product_once(monkeypatch, capsys, overlap, full):
-    # the aligned and swapped products by the split path, plus the
-    # four-equal-tag full contraction under --overlap; the distinct-tag
-    # cross term is the aligned one
-    seen = {"split": [], "full": []}
+    # the aligned and swapped products, plus the four-equal-tag product
+    # under --overlap, whose cross term takes the one full contraction of
+    # the 2n-operator states; the distinct-tag cross term is the aligned one
+    products = []
+    word_lengths = []
+    two_composite_scalar = composite.two_composite_scalar
+    contract_terms = fock.contract_terms
 
-    def counting(kind, fn):
-        def counted(spec, left_tags, right_tags):
-            seen[kind].append((left_tags, right_tags))
-            return fn(spec, left_tags, right_tags)
+    def counted_products(spec, left_tags, right_tags):
+        products.append((left_tags, right_tags))
+        return two_composite_scalar(spec, left_tags, right_tags)
 
-        return counted
+    def counted_contractions(left, right):
+        left = list(left)
+        word_lengths.append(len(left[0][0]) if left else 0)
+        return contract_terms(left, right)
 
-    monkeypatch.setattr(
-        composite, "two_composite_scalar", counting("split", composite.two_composite_scalar)
-    )
-    monkeypatch.setattr(
-        composite, "_classified_scalar", counting("full", composite._classified_scalar)
-    )
+    monkeypatch.setattr(composite, "two_composite_scalar", counted_products)
+    monkeypatch.setattr(fock, "contract_terms", counted_contractions)
     code, out, _ = run(capsys, "composite", "--n", "4", "--rep", "sym", *overlap)
     assert code == 0
     assert "cross\t" in out
-    assert sorted(seen["split"]) == [(("t1", "t2"), ("t1", "t2")), (("t1", "t2"), ("t2", "t1"))]
-    assert len(seen["full"]) == full
+    expected = [(("t1", "t2"), ("t1", "t2")), (("t1", "t2"), ("t2", "t1"))]
+    expected += [(("t", "t"), ("t", "t"))] * full
+    assert sorted(products) == sorted(expected)
+    assert word_lengths.count(8) == full
 
 
 def test_weo(capsys):
@@ -462,7 +465,8 @@ HOSTILE_NUMBERS = st.one_of(
     ),
     st.floats().map(repr),
 )
-COUNTS = st.integers(-2, 5).map(str)
+# 10**155 is a count whose square overflows a float
+COUNTS = st.one_of(st.integers(-2, 5).map(str), st.just(str(10**155)))
 
 
 def label_lists(max_size):

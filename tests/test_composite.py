@@ -27,11 +27,11 @@ from quonstat import (
     normalization_poly,
     preset_rep,
     random_rep,
+    state_scalar_product,
     tensor,
     two_composite_scalar,
     weo_limit_check,
 )
-from quonstat.composite import _classified_scalar
 
 
 def make_spec(n, rep=None):
@@ -77,7 +77,7 @@ def literal_classified(spec, left_tags, right_tags):
 
 def full_scalar(spec, left_tags, right_tags):
     """The whole product by the pairwise q-permanent oracle, which shares no
-    code with the contraction engine behind ``_classified_scalar``."""
+    code with the contraction engine behind ``two_composite_scalar``."""
     left = tensor(composite_word(spec, left_tags[0]), composite_word(spec, left_tags[1]))
     right = tensor(composite_word(spec, right_tags[0]), composite_word(spec, right_tags[1]))
     return pairwise_dp_scalar(left, right)
@@ -105,6 +105,12 @@ TAG_CONFIGS = [
     (("t1", "t2"), ("u1", "u2")),   # disjoint
     (("t1", "t2"), ("t1", "u2")),   # half aligned
     (("t", "t"), ("t", "t")),       # forced overlap
+]
+# a tag repeated on one side only
+ONE_SIDED_CONFIGS = [
+    (("t", "t"), ("t", "u")),
+    (("t", "u"), ("t", "t")),
+    (("t", "t"), ("u1", "u2")),
 ]
 
 
@@ -139,10 +145,18 @@ def test_spec_validation():
         CompositeSpec(n=3, internal_labels=(1, 2, 3), rep=preset_rep(2, "symmetric"))
 
 
-def test_two_composite_rejects_equal_tags_on_one_side():
+def test_two_composite_repeated_tag_on_one_side():
+    # a repeated tag is computed up to the overlap cap, and refused past it
     spec = make_spec(2)
-    with pytest.raises(ContractViolation):
-        two_composite_scalar(spec, ("t", "t"), ("u1", "u2"))
+    got = two_composite_scalar(spec, ("t", "t"), ("u1", "u2"))
+    want = literal_classified(spec, ("t", "t"), ("u1", "u2"))
+    assert (got.direct, got.exchange, got.cross) == (
+        want["direct"],
+        want["exchange"],
+        want["cross"],
+    )
+    with pytest.raises(CapExceeded, match="capped at n=4"):
+        two_composite_scalar(make_spec(5, preset_rep(5, "symmetric")), ("t", "t"), ("t", "t"))
 
 
 def test_single_constituent_examples():
@@ -170,8 +184,8 @@ def test_classified_matches_literal_oracle():
             random_rep(n, rng),
         ):
             spec = make_spec(n, rep)
-            for left_tags, right_tags in TAG_CONFIGS:
-                got = _classified_scalar(spec, left_tags, right_tags)
+            for left_tags, right_tags in TAG_CONFIGS + ONE_SIDED_CONFIGS:
+                got = two_composite_scalar(spec, left_tags, right_tags)
                 want = literal_classified(spec, left_tags, right_tags)
                 assert got.direct == want["direct"]
                 assert got.exchange == want["exchange"]
@@ -181,7 +195,7 @@ def test_classified_matches_literal_oracle():
 
 def test_classified_matches_literal_oracle_n3_overlap():
     spec = make_spec(3, preset_rep(3, "antisymmetric"))
-    got = _classified_scalar(spec, ("t", "t"), ("t", "t"))
+    got = two_composite_scalar(spec, ("t", "t"), ("t", "t"))
     want = literal_classified(spec, ("t", "t"), ("t", "t"))
     assert (got.direct, got.exchange, got.cross) == (
         want["direct"],
@@ -189,6 +203,17 @@ def test_classified_matches_literal_oracle_n3_overlap():
         want["cross"],
     )
     assert split_buckets(spec, ("t", "t"), ("t", "t")) == want
+
+
+def test_classified_matches_literal_oracle_n3():
+    # three of the six orders, with unequal weights, give product states
+    # of 9 words instead of 36, which the literal oracle can afford
+    rep = RepCoefficients(n=3, coeffs={(1, 2, 3): 1, (2, 1, 3): Fraction(-1, 2), (2, 3, 1): 3})
+    spec = make_spec(3, rep)
+    for left_tags, right_tags in TAG_CONFIGS + ONE_SIDED_CONFIGS:
+        got = two_composite_scalar(spec, left_tags, right_tags)
+        want = literal_classified(spec, left_tags, right_tags)
+        assert (got.direct, got.exchange, got.cross) == tuple(want.values())
 
 
 @st.composite
@@ -212,7 +237,7 @@ def small_composite(draw):
 @given(small_composite())
 def test_classified_buckets_match_literal_oracle(case):
     spec, left_tags, right_tags = case
-    got = _classified_scalar(spec, left_tags, right_tags)
+    got = two_composite_scalar(spec, left_tags, right_tags)
     want = literal_classified(spec, left_tags, right_tags)
     assert (got.direct, got.exchange, got.cross) == (
         want["direct"],
@@ -231,7 +256,7 @@ def test_decomposition_identity_all_configs():
         ):
             spec = make_spec(n, rep)
             for left_tags, right_tags in TAG_CONFIGS:
-                result = _classified_scalar(spec, left_tags, right_tags)
+                result = two_composite_scalar(spec, left_tags, right_tags)
                 assert result.total == full_scalar(spec, left_tags, right_tags)
 
 
@@ -241,7 +266,7 @@ def test_decomposition_identity_all_configs():
 def test_decomposition_identity_n4_distinct_tags(kind):
     spec = make_spec(4, preset_rep(4, kind))
     for left_tags, right_tags in TAG_CONFIGS[:4]:
-        result = _classified_scalar(spec, left_tags, right_tags)
+        result = two_composite_scalar(spec, left_tags, right_tags)
         want = split_buckets(spec, left_tags, right_tags)
         assert result.total == sum(want.values(), QPolynomial.zero())
         assert (result.direct, result.exchange, result.cross) == tuple(want.values())
@@ -250,7 +275,7 @@ def test_decomposition_identity_n4_distinct_tags(kind):
 @pytest.mark.parametrize("kind", ["symmetric", "antisymmetric"])
 def test_decomposition_identity_n4_forced_overlap(kind):
     spec = make_spec(4, preset_rep(4, kind))
-    result = _classified_scalar(spec, ("t", "t"), ("t", "t"))
+    result = two_composite_scalar(spec, ("t", "t"), ("t", "t"))
     want = split_buckets(spec, ("t", "t"), ("t", "t"))
     assert result.total == sum(want.values(), QPolynomial.zero())
     assert (result.direct, result.exchange, result.cross) == tuple(want.values())
@@ -258,8 +283,8 @@ def test_decomposition_identity_n4_forced_overlap(kind):
 
 
 def test_exchange_law_small_n():
-    # the split path equals the full contraction in every bucket on the
-    # distinct-tag configurations
+    # the split path equals the shuffle-split oracle in every bucket on
+    # the distinct-tag configurations
     rng = random.Random(8)
     for n in (1, 2, 3, 4):
         reps = [
@@ -271,12 +296,8 @@ def test_exchange_law_small_n():
             spec = make_spec(n, rep)
             for left_tags, right_tags in TAG_CONFIGS[:4]:
                 got = two_composite_scalar(spec, left_tags, right_tags)
-                want = _classified_scalar(spec, left_tags, right_tags)
-                assert (got.direct, got.exchange, got.cross) == (
-                    want.direct,
-                    want.exchange,
-                    want.cross,
-                )
+                want = split_buckets(spec, left_tags, right_tags)
+                assert (got.direct, got.exchange, got.cross) == tuple(want.values())
             aligned = two_composite_scalar(spec, ("t1", "t2"), ("t1", "t2"))
             swapped = two_composite_scalar(spec, ("t1", "t2"), ("t2", "t1"))
             assert swapped.exchange == QPolynomial.monomial(n * n) * aligned.direct
@@ -307,12 +328,9 @@ def test_effective_exponent_random_rep():
 def test_split_path_matches_full_contraction_n5_and_law_n6():
     spec = make_spec(5, preset_rep(5, "antisymmetric"))
     swapped = two_composite_scalar(spec, ("t1", "t2"), ("t2", "t1"))
-    full = _classified_scalar(spec, ("t1", "t2"), ("t2", "t1"))
-    assert (swapped.direct, swapped.exchange, swapped.cross) == (
-        full.direct,
-        full.exchange,
-        full.cross,
-    )
+    left = tensor(composite_word(spec, "t1"), composite_word(spec, "t2"))
+    right = tensor(composite_word(spec, "t2"), composite_word(spec, "t1"))
+    assert swapped.total == state_scalar_product(left, right)
     p = normalization_poly(spec.rep, [ModeLabel(i) for i in spec.internal_labels])
     assert swapped.exchange == QPolynomial.monomial(25) * p * p
     assert effective_exponent(spec) == 25
