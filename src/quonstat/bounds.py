@@ -9,9 +9,9 @@ records alike.
 """
 
 import math
+import os
 import sys
 import warnings
-from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ContractViolation, LimitsFormatError, read_text
@@ -147,9 +147,9 @@ def ingest_limits(path) -> list[BoundRecord]:
     return records
 
 
-def bundled_limits_path() -> Path:
+def bundled_limits_path() -> str:
     """Location of the dataset shipped with the package."""
-    return Path(__file__).parent / "data" / BUNDLED_DATASET
+    return os.path.join(os.path.dirname(__file__), "data", BUNDLED_DATASET)
 
 
 def load_bundled_limits() -> list[BoundRecord]:

@@ -10,7 +10,6 @@ import os
 import sys
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import composite as composite_mod
@@ -40,12 +39,11 @@ def _parse_rep(raw: str, n: int) -> RepCoefficients:
         return preset_rep(n, "symmetric")
     if raw == "antisym":
         return preset_rep(n, "antisymmetric")
-    path = Path(raw)
-    if not path.exists():
+    if not os.path.exists(raw):
         raise ParseError(f"rep must be 'sym', 'antisym', or a file; {raw!r} not found")
     coeffs = {}
     first_line = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_text(raw).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -71,7 +69,8 @@ def _parse_rep(raw: str, n: int) -> RepCoefficients:
         first_line[images] = lineno
     if not coeffs:
         raise ParseError(f"{raw}: no coefficients found")
-    rep = RepCoefficients(n=len(next(iter(coeffs))), coeffs=coeffs, label=path.stem)
+    stem = os.path.splitext(os.path.basename(raw))[0]
+    rep = RepCoefficients(n=len(next(iter(coeffs))), coeffs=coeffs, label=stem)
     if rep.n != n:
         raise ContractViolation(f"rep file is over S_{rep.n}, but --n is {n}")
     return rep
@@ -130,7 +129,7 @@ def _cmd_gram(args) -> int:
         for row in numeric:
             print("\t".join(f"{value:.10g}" for value in row))
         if args.check_psd:
-            report = fock.psd_report(numeric, args.q)
+            report = fock.psd_report(labels, args.q)
             verdict = "pass" if report.passed else "fail"
             flag = "in_range" if report.q_in_range else "outside_range"
             print(f"psd\t{verdict}\t{report.min_eigenvalue:.6e}\t{flag}")

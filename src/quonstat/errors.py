@@ -1,7 +1,5 @@
 """Exception hierarchy shared by all quonstat modules."""
 
-from pathlib import Path
-
 
 class QuonError(Exception):
     """Base class for all quonstat errors."""
@@ -42,7 +40,8 @@ def read_text(path) -> str:
     """Contents of a UTF-8 text file.  A file that cannot be opened or
     decoded is malformed input: ParseError with a one-line reason."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

@@ -17,14 +17,18 @@ labels in a word pair (n! times for the permutation basis of n distinct
 labels, not (n!)^2), its entries share one object per pattern, and the
 float evaluation runs once per shared object.
 
-numpy is imported only by the PSD check, for the eigenvalues: the exact
-algebra and the numeric Gram evaluation, which returns rows of Python
-floats, do not pay for its import.
+The PSD check never builds the Gram matrix.  On the permutation basis
+that matrix is X_n = sum_P q^inv(P) P in the regular representation
+(times the sum over the place permutations of equal labels), so its
+spectrum is that of the irrep blocks rho(X_n), each at most 16 x 16 at
+n = 6 (Zagier, Commun. Math. Phys. 147 (1992) 199).  The blocks are
+built in Young's orthogonal form through the coset factorization of X_n
+and their eigenvalues found by Jacobi rotations, in plain Python floats.
 """
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ContractViolation, UnsupportedError
 from .permutations import (
@@ -32,14 +36,16 @@ from .permutations import (
     all_permutations,
     character_table,
     cycle_type,
+    dominates,
     inversion_number,
+    irrep_name,
+    orthogonal_form,
+    partitions,
+    refuse_above_cap,
 )
 from .qpoly import QPolynomial
 from .record import Record
 from .wick import ModeLabel, Word, contract_terms, scalar_product
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class StateVector(Record):
@@ -113,6 +119,12 @@ def normalization_poly(rep: RepCoefficients, labels: Sequence[ModeLabel]) -> QPo
     return state_scalar_product(state, state)
 
 
+def _finite_q(q_value: float) -> float:
+    if not math.isfinite(q_value):
+        raise ContractViolation(f"q must be a finite number, got {q_value}")
+    return float(q_value)
+
+
 class GramMatrix(NamedTuple):
     words: tuple[Word, ...]
     entries: tuple[tuple[QPolynomial, ...], ...]
@@ -130,9 +142,7 @@ class GramMatrix(NamedTuple):
         but distinct objects are simply evaluated separately.  A
         non-finite q, or a q at which an entry overflows, is refused.
         """
-        if not math.isfinite(q_value):
-            raise ContractViolation(f"q must be a finite number, got {q_value}")
-        x = float(q_value)
+        x = _finite_q(q_value)
         # keyed by identity: hashing the Fraction coefficients of a
         # polynomial costs more than the Horner pass it would save
         distinct = {id(entry): entry for row in self.entries for entry in row}
@@ -195,7 +205,7 @@ class PsdReport(NamedTuple):
     dimension: int
     q_value: float
     q_in_range: bool
-    witness: "Optional[np.ndarray]"  # eigenvector of the minimum eigenvalue on failure
+    witness: Optional[str]  # on failure, the irrep whose block holds the minimum
 
     def __str__(self) -> str:
         verdict = "pass" if self.passed else "fail"
@@ -204,42 +214,148 @@ class PsdReport(NamedTuple):
 
 
 def check_psd(g: GramMatrix, q_value: float, tolerance: float | None = None) -> PsdReport:
-    """Evaluate the Gram matrix at q and test it with ``psd_report``."""
-    return psd_report(g.evaluate(q_value), q_value, tolerance)
+    """``psd_report`` of the labels whose permutation basis ``g`` is built
+    on; a Gram matrix of any other word list is refused."""
+    if g.words and list(g.words) != permutation_basis(g.words[0]):
+        raise UnsupportedError("check_psd needs the Gram matrix of a permutation basis")
+    return psd_report(g.words[0] if g.words else (), q_value, tolerance)
 
 
 def psd_report(
-    numeric: Sequence[Sequence[float]], q_value: float, tolerance: float | None = None
+    labels: Sequence[ModeLabel], q_value: float, tolerance: float | None = None
 ) -> PsdReport:
-    """Test the minimum eigenvalue of a Gram matrix already evaluated at
-    q (``GramMatrix.evaluate``) against -tolerance (default 1e-10 per
-    matrix dimension).
+    """Test the minimum eigenvalue of ``gram(permutation_basis(labels))``
+    at q against -tolerance (default 1e-10 per matrix dimension), without
+    building that matrix.
+
+    Let mu be the multiplicities of equal labels and H the group of the
+    |H| = prod mu_i! place permutations that only move equal labels.  The
+    Gram matrix is sum_h in H of h times X_n = sum_P q^inv(P) P; the two
+    act on opposite sides of the regular representation, so its spectrum
+    is |H| times that of rho(X_n) on every irrep whose partition dominates
+    mu, plus 0 when a label repeats (the rows of equal words coincide).
 
     q outside [-1, 1] is permitted but flagged: positivity is only
-    guaranteed inside the convexity range.  An empty matrix has no
-    eigenvalue to test and is refused.
+    guaranteed inside the convexity range.  Empty labels, more than
+    DEFAULT_ENUM_CAP (8) labels and a non-finite q are refused, and so
+    is a q at which ``GramMatrix.evaluate`` refuses the matrix: where
+    q^top, top = n(n-1)/2, overflows.  For n <= 6 that is exactly the
+    same set of q, because there the entries of degree top, a word
+    paired with its reverse, are q^top plus lower powers that are below
+    its rounding whenever |q| is large enough to overflow.
     """
-    dimension = len(numeric)
-    if dimension == 0:
+    labels = tuple(labels)
+    n = len(labels)
+    if n == 0:
         raise ContractViolation("the PSD check needs a non-empty Gram matrix")
-    if tolerance is None:
-        tolerance = 1e-10 * dimension
-    if tolerance <= 0:
+    refuse_above_cap(n)
+    if tolerance is not None and tolerance <= 0:
         raise ContractViolation("tolerance must be positive")
-    import numpy as np
-
-    eigenvalues, eigenvectors = np.linalg.eigh(np.asarray(numeric, dtype=float))
-    min_index = int(np.argmin(eigenvalues))
-    min_eig = float(eigenvalues[min_index])
+    x = _finite_q(q_value)
+    # q^top by the repeated products of QPolynomial.evaluate
+    top_power = 1.0
+    for _ in range(n * (n - 1) // 2):
+        top_power *= x
+    if not math.isfinite(top_power):
+        raise ContractViolation(f"the Gram matrix overflows a float at q = {q_value}")
+    counts: dict = {}
+    for label in labels:
+        counts[label] = counts.get(label, 0) + 1
+    mu = sorted(counts.values(), reverse=True)
+    repeats = math.prod(map(math.factorial, mu))
+    # the blocks come divided by |q|^top when |q| > 1
+    scale = repeats * max(1.0, abs(top_power))
+    candidates = [(0.0, None)] if repeats > 1 else []
+    for shape in partitions(n):
+        if dominates(shape, mu):
+            least = _min_eigenvalue(_irrep_block(shape, x))
+            candidates.append((scale * least, shape))
+    min_eig, shape = min(candidates, key=lambda c: c[0])
+    if tolerance is None:
+        tolerance = 1e-10 * math.factorial(n)
     passed = min_eig >= -tolerance
     return PsdReport(
         passed=passed,
         min_eigenvalue=min_eig,
-        dimension=dimension,
+        dimension=math.factorial(n),
         q_value=float(q_value),
         q_in_range=-1.0 <= q_value <= 1.0,
-        witness=None if passed else eigenvectors[:, min_index],
+        witness=None if passed else irrep_name(shape),
     )
+
+
+def irrep_blocks(n: int, q_value: float) -> dict[str, list[list[float]]]:
+    """rho(X_n) at q on every irrep of S_n, X_n = sum_P q^inv(P) P, in
+    Young's orthogonal form and divided by |q|^(n(n-1)/2) when |q| > 1;
+    keyed by ``irrep_name``.  Each block is symmetric, and the Gram matrix
+    of the permutation basis of n distinct labels is the regular
+    representation of X_n: it holds each block dim times."""
+    if n < 1:
+        raise ContractViolation("n must be >= 1")
+    x = _finite_q(q_value)
+    return {irrep_name(shape): _irrep_block(shape, x) for shape in partitions(n)}
+
+
+def _irrep_block(shape: tuple[int, ...], x: float) -> list[list[float]]:
+    """rho(X_n) by the coset factorization X_n = X_{n-1} T_n over the
+    minimal coset representatives, T_k = sum_{j<k} q^j s_{k-1} .. s_{k-j}:
+    each T_k costs k-1 products with a sparse generator.  When |q| > 1,
+    T_k is divided by |q|^(k-1), so no entry exceeds n! in magnitude."""
+    dimension, generators = orthogonal_form(shape)
+    block = [[float(a == b) for b in range(dimension)] for a in range(dimension)]
+    for k in range(2, len(generators) + 2):
+        if abs(x) <= 1:
+            weights = [x**j for j in range(k)]
+        else:
+            weights = [math.copysign(1.0, x) ** j * abs(x) ** (j - k + 1) for j in range(k)]
+        step = block
+        total = [[weights[0] * v for v in row] for row in block]
+        for j in range(1, k):
+            diagonal, partner, coupling = generators[k - j - 1]
+            step = [
+                [row[c] * diagonal[c] + row[partner[c]] * coupling[c] for c in range(dimension)]
+                for row in step
+            ]
+            w = weights[j]
+            total = [[t + w * v for t, v in zip(trow, srow)] for trow, srow in zip(total, step)]
+        block = total
+    return block
+
+
+def _min_eigenvalue(block: list[list[float]]) -> float:
+    """Smallest eigenvalue of a symmetric matrix, by cyclic Jacobi
+    rotations on its symmetrized copy."""
+    d = len(block)
+    a = [[(block[i][j] + block[j][i]) / 2 for j in range(d)] for i in range(d)]
+    for sweep in range(50):
+        rotated = False
+        for p in range(d - 1):
+            for r in range(p + 1, d):
+                apr = a[p][r]
+                if apr == 0.0:
+                    continue
+                app, arr = a[p][p], a[r][r]
+                # an entry below the rounding of both diagonals is dropped
+                g = 100.0 * abs(apr)
+                if sweep > 3 and abs(app) + g == abs(app) and abs(arr) + g == abs(arr):
+                    a[p][r] = a[r][p] = 0.0
+                    continue
+                rotated = True
+                theta = (arr - app) / (2.0 * apr)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.hypot(t, 1.0)
+                s = t * c
+                a[p][p] = app - t * apr
+                a[r][r] = arr + t * apr
+                a[p][r] = a[r][p] = 0.0
+                for k in range(d):
+                    if k != p and k != r:
+                        akp, akr = a[k][p], a[k][r]
+                        a[k][p] = a[p][k] = c * akp - s * akr
+                        a[k][r] = a[r][k] = s * akp + c * akr
+        if not rotated:
+            break
+    return min(a[i][i] for i in range(d))
 
 
 def irrep_weight_polys(n: int) -> dict[str, QPolynomial]:

@@ -1,5 +1,6 @@
 """Permutations of S_n in one-line notation, representation coefficients,
-and the character tables of S_n, computed by the Murnaghan-Nakayama rule.
+the character tables of S_n, computed by the Murnaghan-Nakayama rule, and
+Young's orthogonal form of each irrep.
 
 A permutation is a tuple of the images of 1..n, e.g. ``(2, 1, 3)`` swaps
 the first two places.  Throughout the package permutations act as *place*
@@ -16,7 +17,7 @@ import functools
 import math
 from fractions import Fraction
 from itertools import permutations as _itertools_permutations
-from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import CapExceeded, ContractViolation, UnsupportedError
 from .record import Record
@@ -95,11 +96,12 @@ def all_permutations(n: int) -> Iterator[Permutation]:
     """
     if n < 1:
         raise ContractViolation("n must be >= 1")
-    _refuse_above_cap(n)
+    refuse_above_cap(n)
     return _itertools_permutations(range(1, n + 1))
 
 
-def _refuse_above_cap(n: int) -> None:
+def refuse_above_cap(n: int) -> None:
+    """Refuse any work over S_n, n! elements, above DEFAULT_ENUM_CAP."""
     if n > DEFAULT_ENUM_CAP:
         raise CapExceeded(
             f"refusing to enumerate S_{n} ({n}! elements); "
@@ -191,6 +193,29 @@ class CharacterTable(NamedTuple):
 _NAMES = {(2, 1): "standard", (3, 1): "standard", (2, 2): "two_dim", (2, 1, 1): "standard_sign"}
 
 
+def partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n in descending (reverse-lex) order, (n) first."""
+    return _partitions(n, n)
+
+
+def dominates(shape: tuple[int, ...], mu: Sequence[int]) -> bool:
+    """Dominance order: every partial sum of ``shape`` is at least the
+    corresponding partial sum of ``mu``."""
+    return all(sum(shape[:k]) >= sum(mu[:k]) for k in range(1, len(mu) + 1))
+
+
+def irrep_name(shape: tuple[int, ...]) -> str:
+    """The name ``character_table`` and ``weights`` give the irrep of a
+    partition: (n) is trivial and (1^n) sign; the other irreps of S_3 and
+    S_4 are standard, two_dim and standard_sign, and those of larger n are
+    named by their parts, e.g. ``3+1+1``."""
+    if len(shape) == 1:
+        return "trivial"
+    if max(shape) == 1:
+        return "sign"
+    return _NAMES.get(shape, "+".join(map(str, shape)))
+
+
 def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
     """Partitions of n with parts <= largest, in descending (reverse-lex)
     order."""
@@ -225,15 +250,13 @@ def character_table(n: int) -> CharacterTable:
 
     Irreps are listed by partition in descending (reverse-lex) order and
     conjugacy classes by cycle type in the reverse order, so the identity
-    class comes first and holds the dimensions.  (n) is named trivial and
-    (1^n) sign; the other irreps of S_3 and S_4 keep the names standard,
-    two_dim and standard_sign, and those of larger n are named by their
-    parts, e.g. ``3+1+1``.
+    class comes first and holds the dimensions.  Irreps are named by
+    ``irrep_name``.
     """
     if n < 2:
         raise UnsupportedError(f"character tables need n >= 2, not n={n}")
-    _refuse_above_cap(n)
-    shapes = list(_partitions(n, n))
+    refuse_above_cap(n)
+    shapes = list(partitions(n))
     classes = []
     for mu in reversed(shapes):
         z = 1
@@ -244,11 +267,67 @@ def character_table(n: int) -> CharacterTable:
     for shape in shapes:
         beta = frozenset(part + len(shape) - 1 - i for i, part in enumerate(shape))
         chars = tuple(_mn_character(beta, mu) for mu, _ in classes)
-        if shape == (n,):
-            name = "trivial"
-        elif shape == (1,) * n:
-            name = "sign"
-        else:
-            name = _NAMES.get(shape, "+".join(map(str, shape)))
-        irreps.append((name, chars[0], chars))
+        irreps.append((irrep_name(shape), chars[0], chars))
     return CharacterTable(n=n, classes=tuple(classes), irreps=tuple(irreps))
+
+
+# One generator s_i of Young's orthogonal form: per basis tableau T, the
+# diagonal entry, the index of s_i T (T itself when s_i T is not standard)
+# and the entry that couples them.
+Generator = tuple[tuple[float, ...], tuple[int, ...], tuple[float, ...]]
+
+
+class OrthogonalForm(NamedTuple):
+    dimension: int
+    generators: tuple[Generator, ...]  # s_1 .. s_{n-1}
+
+
+@functools.lru_cache(maxsize=None)
+def orthogonal_form(shape: tuple[int, ...]) -> OrthogonalForm:
+    """Young's orthogonal form of the irrep of ``shape``: the matrices of
+    the adjacent transpositions s_1 .. s_{n-1}, one `Generator` each, on
+    the basis of standard tableaux.
+
+    With c(k) = column - row of the box holding k and r = c(i+1) - c(i),
+    rho(s_i) e_T = (1/r) e_T + sqrt(1 - 1/r^2) e_{s_i T}: +1 when i and
+    i+1 share a row, -1 when they share a column.  Every matrix is real,
+    symmetric and orthogonal, so rho(P^-1) is the transpose of rho(P).
+    """
+    n = sum(shape)
+    if n < 1 or list(shape) != sorted(shape, reverse=True) or min(shape) < 1:
+        raise ContractViolation(f"{shape!r} is not a partition")
+    refuse_above_cap(n)
+    # a standard tableau as the row of each entry 1..n, in lexicographic order
+    tableaux = []
+
+    def fill(rows: tuple[int, ...], lengths: list[int]) -> None:
+        if len(rows) == n:
+            tableaux.append(rows)
+            return
+        for r, part in enumerate(shape):
+            if lengths[r] < part and (r == 0 or lengths[r - 1] > lengths[r]):
+                lengths[r] += 1
+                fill(rows + (r,), lengths)
+                lengths[r] -= 1
+
+    fill((), [0] * len(shape))
+    index = {rows: a for a, rows in enumerate(tableaux)}
+    contents = []
+    for rows in tableaux:
+        lengths = [0] * len(shape)
+        content = []
+        for r in rows:
+            content.append(lengths[r] - r)
+            lengths[r] += 1
+        contents.append(content)
+    generators = []
+    for i in range(n - 1):
+        diagonal, partner, coupling = [], [], []
+        for a, rows in enumerate(tableaux):
+            inverse_r = 1 / (contents[a][i + 1] - contents[a][i])
+            swapped = rows[:i] + (rows[i + 1], rows[i]) + rows[i + 2 :]
+            diagonal.append(inverse_r)
+            partner.append(index.get(swapped, a))
+            coupling.append(math.sqrt(1 - inverse_r * inverse_r))
+        generators.append((tuple(diagonal), tuple(partner), tuple(coupling)))
+    return OrthogonalForm(len(tableaux), tuple(generators))

@@ -52,6 +52,60 @@ CHARACTER_TABLES = {
 }
 
 
+# The minimum eigenvalue of gram(permutation_basis(labels)).evaluate(q),
+# one value per q in MIN_EIGENVALUE_QS, as numpy.linalg.eigvalsh gave it
+# on the full n! x n! matrix when the PSD check still used numpy.  Where a
+# label repeats the exact minimum inside (-1, 1) is 0; the recorded values
+# there are eigvalsh's roundoff.
+MIN_EIGENVALUE_QS = (0.5, -0.5, 0.3, 0.813, -0.813, -1.5, 1.7)
+MIN_EIGENVALUES = {
+    "a": (
+        1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0
+    ),
+    "ab": (
+        0.5, 0.5, 0.7, 0.187, 0.187, -0.4999999999999999, -0.6999999999999998
+    ),
+    "abc": (
+        0.37499999999999967, 0.37499999999999967, 0.5529999999999999,
+        0.06339879699999985, 0.06339879699999985, -3.125, -5.103
+    ),
+    "abcd": (
+        0.21598571037125325, 0.21598571037125325, 0.4219390000000008,
+        0.01949308652546031, 0.01949308652546031, -31.203423563850876,
+        -65.15243655443257
+    ),
+    "abcde": (
+        0.14900664954422244, 0.14900664954422244, 0.3253571629000005,
+        0.006968777529255355, 0.006968777529255355, -483.8307628715732,
+        -1426.6802152482428
+    ),
+    "aab": (
+        -2.315188530458303e-16, -1.0721125236332306e-16, -6.610854240441263e-16,
+        -1.207156476074557e-16, -3.084101600586272e-17, -6.25, -10.206000000000007
+    ),
+    "aabb": (
+        -1.0742861290913451e-15, -6.577764633122723e-16, -2.1664094251207357e-15,
+        -2.1545022449623668e-15, -2.651705871150283e-16, -30.445752147247784,
+        -260.60974621773005
+    ),
+    "aaab": (
+        -1.107595045529047e-15, -3.720696421726587e-16, -7.696195533624276e-16,
+        -3.582284684586304e-14, -6.981387641618797e-16, -45.66862822087165,
+        -390.91461932659513
+    ),
+    "aabc": (
+        -7.095022713993448e-16, -3.617882367382639e-16, -9.25848670032625e-16,
+        -3.0741270877695316e-16, -1.5293915231308595e-16, -62.40684712770175,
+        -130.30487310886517
+    ),
+    "aabbc": (
+        -9.199611648906598e-15, -2.0774405159069494e-15, -5.350946931969646e-15,
+        -4.313120144020624e-14, -1.546380037692763e-15, -440.82568084224084,
+        -5706.720860992971
+    ),
+}
+
+
 def pairwise_dp_scalar(left: StateVector, right: StateVector) -> QPolynomial:
     """Bilinear extension of the word scalar product, one q-permanent per
     left x right word pair.

@@ -172,6 +172,10 @@ def test_gram_psd_verdict(capsys):
     assert code == 0
     assert "psd\tfail" in out
     assert "outside_range" in out
+    # equal labels make equal rows: the minimum is exactly 0
+    code, out, _ = run(capsys, "gram", "--labels", "a,a,b,c", "--q", "0.5", "--check-psd")
+    assert code == 0
+    assert out.splitlines()[-1] == "psd\tpass\t0.000000e+00\tin_range"
 
 
 @pytest.mark.parametrize("q", ["nan", "inf", "-inf"])
@@ -399,7 +403,7 @@ def test_every_operation_reachable_from_cli(tmp_path, capsys):
         ("sp", "--left", "a", "--right", "a"),                     # scalar_product
         ("qperm", "--matrix", str(matrix)),                        # q_permanent
         ("norm", "--n", "2", "--rep", "sym"),                      # normalization_poly, build_state, preset_rep
-        ("gram", "--labels", "a,b", "--q", "0.5", "--check-psd"),  # gram, check_psd, permutation enumeration
+        ("gram", "--labels", "a,b", "--q", "0.5", "--check-psd"),  # gram, psd_report, permutation basis
         ("weights", "--n", "3", "--q", "0.2"),                     # irrep_weights, character_table
         ("composite", "--n", "2", "--rep", "antisym"),             # two_composite_scalar, effective_exponent
         ("composite", "--n", "2", "--rep", "sym", "--overlap"),    # cross_term_magnitude
@@ -414,7 +418,9 @@ def test_every_operation_reachable_from_cli(tmp_path, capsys):
         assert out
 
 
-START_UP_EXCLUDED = ("numpy", "dataclasses", "inspect", "importlib.resources", "random")
+START_UP_EXCLUDED = (
+    "numpy", "dataclasses", "inspect", "importlib.resources", "random", "pathlib"
+)
 
 
 def _loaded_after(*python_flags, argv=()):
@@ -437,10 +443,11 @@ def test_cli_import_leaves_numpy_unloaded():
     # -S: no site hooks that preload a module and would hide that the
     # package imports it
     assert _loaded_after("-S") == "[]"
-    # only the PSD check needs numpy; printing the evaluated rows does not
+    # the PSD check takes its eigenvalues from the irrep blocks, without numpy
     gram = ["gram", "--labels", "a,b,c", "--q", "0.5"]
     assert "numpy" not in _loaded_after(argv=gram)
-    assert "numpy" in _loaded_after(argv=[*gram, "--check-psd"])
+    assert "numpy" not in _loaded_after(argv=[*gram, "--check-psd"])
+    assert "numpy" not in _loaded_after(argv=["gram", "--labels", "a,a,b,c", "--q", "0.5", "--check-psd"])
 
 
 def test_closed_stdout_is_a_one_line_error():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from quonstat import (
     gram,
     inverse,
     inversion_number,
+    irrep_blocks,
     irrep_weight_polys,
     irrep_weights,
     normalization_poly,
@@ -37,7 +39,13 @@ from quonstat import (
 )
 from quonstat import fock
 
-from oracles import exact_pivots, pairwise_irrep_weights, projected_norm_irrep_weights
+from oracles import (
+    MIN_EIGENVALUE_QS,
+    MIN_EIGENVALUES,
+    exact_pivots,
+    pairwise_irrep_weights,
+    projected_norm_irrep_weights,
+)
 
 A, B, C = ModeLabel("a"), ModeLabel("b"), ModeLabel("c")
 
@@ -285,7 +293,7 @@ def test_check_psd_examples():
     assert not report.passed
     assert report.min_eigenvalue == pytest.approx(-0.5)
     assert not report.q_in_range
-    assert report.witness is not None
+    assert report.witness == "trivial"
 
 
 def test_psd_check_refuses_an_empty_matrix():
@@ -314,6 +322,158 @@ def test_gram_evaluation_refuses_non_finite_q():
         with pytest.raises(ContractViolation, match=r"q = 1e\+200"):
             call(1e200)
 
+
+
+def _determinant(rows):
+    """Float determinant by Gaussian elimination with partial pivoting."""
+    a = [list(row) for row in rows]
+    det = 1.0
+    for k in range(len(a)):
+        pivot = max(range(k, len(a)), key=lambda i: abs(a[i][k]))
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            factor = a[i][k] / a[k][k]
+            a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def test_block_determinants_give_zagiers_determinant():
+    # det gram(permutation_basis(n)) = prod over irreps of det(block)^dim,
+    # checked against Zagier's product up to n = 6 (720 x 720)
+    for n in range(2, 7):
+        table = character_table(n)
+        for q in (Fraction(1, 2), Fraction(-1, 3)):
+            blocks = irrep_blocks(n, float(q))
+            product = math.prod(
+                _determinant(blocks[label]) ** dim for label, dim, _ in table.irreps
+            )
+            expected = float(zagier_determinant(n, q))
+            assert product == pytest.approx(expected, rel=1e-9), (n, q)
+
+
+def test_trivial_and_sign_blocks_are_q_factorials():
+    for n in range(2, 7):
+        for q in (0.5, -0.3, 0.9, -0.99, 1e-3):
+            blocks = irrep_blocks(n, q)
+            assert blocks["trivial"][0][0] == pytest.approx(q_factorial(n).evaluate(q), rel=1e-12)
+            assert blocks["sign"][0][0] == pytest.approx(
+                signed_q_factorial(n).evaluate(q), rel=1e-12, abs=1e-15
+            )
+
+
+def test_blocks_vanish_at_the_boson_and_fermion_points():
+    # X_n at q = 1 is the sum of all permutations, at q = -1 their signed
+    # sum: each lives on one irrep alone, with the value n!
+    for n in range(2, 7):
+        for q, alive in ((1.0, "trivial"), (-1.0, "sign")):
+            for label, block in irrep_blocks(n, q).items():
+                if label == alive:
+                    assert block[0][0] == pytest.approx(math.factorial(n))
+                else:
+                    assert all(abs(x) < 1e-12 for row in block for x in row), (n, q, label)
+
+
+def test_psd_minimum_matches_the_recorded_eigvalsh_minimum():
+    for word, minima in MIN_EIGENVALUES.items():
+        n = len(word)
+        g = gram(permutation_basis(word))
+        for q, expected in zip(MIN_EIGENVALUE_QS, minima):
+            largest = max(abs(x) for row in g.evaluate(q) for x in row)
+            report = psd_report(word, q)
+            assert report.dimension == g.dimension
+            assert abs(report.min_eigenvalue - expected) <= 1e-12 * math.factorial(n) * largest
+            assert report == check_psd(g, q)
+
+
+def test_failing_report_names_the_irrep_of_the_minimum():
+    # n = 2: the blocks are 1 + q (trivial) and 1 - q (sign).  n = 3 at
+    # q = 1.7: the standard block has trace 2 - 2q^2 and determinant
+    # (1 - q^2)^3, so eigenvalues -5.103 and 1.323, below the sign block
+    # (1 - q)(1 - q + q^2) = -1.533; with a repeated label the sign irrep
+    # is absent and the minimum is twice the standard one
+    cases = (
+        ("ab", -1.5, "trivial", -0.5),
+        ("ab", 1.7, "sign", -0.7),
+        ("abc", 1.7, "standard", -5.103),
+        ("aab", 1.7, "standard", -10.206),
+        ("aa", -1.5, "trivial", -1.0),
+    )
+    for word, q, name, minimum in cases:
+        report = psd_report(word, q)
+        assert not report.passed
+        assert report.witness == name
+        assert report.min_eigenvalue == pytest.approx(minimum, rel=1e-12)
+    assert psd_report("ab", 0.5).witness is None
+    # [[1+q, 1+q], [1+q, 1+q]]: the negative sign block 1 - q is absent
+    assert psd_report("aa", 1.7)[:2] == (True, 0.0)
+
+
+def test_psd_report_is_finite_far_outside_the_convexity_range():
+    # the blocks are scaled by |q|^3 before the rotations, whose squares
+    # would overflow a float from |q| ~ 1e51 on
+    for q in (1e100, -1e100, 5e102, -5e102):
+        report = psd_report("abc", q)
+        assert math.isfinite(report.min_eigenvalue)
+        assert not report.passed
+        assert report.min_eigenvalue == pytest.approx(-abs(q) ** 3, rel=1e-9)
+
+
+def _top_power_threshold(top):
+    """The largest q > 0 whose top-th power, by repeated products, is a
+    finite float."""
+    def finite(x):
+        power = 1.0
+        for _ in range(top):
+            power *= x
+        return math.isfinite(power)
+
+    x = sys.float_info.max ** (1 / top)
+    while not finite(x):
+        x = math.nextafter(x, 0.0)
+    while finite(math.nextafter(x, math.inf)):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def test_psd_report_refuses_exactly_where_evaluate_refuses():
+    words = ("ab", "abc", "aab", "aaa", "abcd", "aabb", "aaab", "abcde", "aabbc")
+    for word in words:
+        n = len(word)
+        g = gram(permutation_basis(word))
+        edge = _top_power_threshold(n * (n - 1) // 2)
+        qs = [edge, math.nextafter(edge, math.inf), 1e30, 1e60, 1e103, 1e200, 1e308]
+        for q in filter(math.isfinite, qs + [-q for q in qs]):
+            try:
+                g.evaluate(q)
+            except ContractViolation as exc:
+                with pytest.raises(ContractViolation) as refused:
+                    psd_report(word, q)
+                assert str(refused.value) == str(exc)
+                assert str(exc) == f"the Gram matrix overflows a float at q = {q}"
+            else:
+                report = psd_report(word, q)
+                assert not math.isnan(report.min_eigenvalue)
+                if n == len(set(word)):
+                    assert math.isfinite(report.min_eigenvalue), (word, q)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ContractViolation, match="finite"):
+            psd_report("ab", value)
+    with pytest.raises(CapExceeded, match="cap is 8"):
+        psd_report("abcdefghi", 0.5)
+
+
+def test_check_psd_needs_a_permutation_basis():
+    basis = permutation_basis(labels(3))
+    # the reversed basis is the permutation basis of the reversed labels
+    assert check_psd(gram(basis[::-1]), 0.5) == check_psd(gram(basis), 0.5)
+    for words in ([(A, B)], basis[:3], basis[1:] + basis[:1], [(A, B), (B, A), (A, B)]):
+        with pytest.raises(UnsupportedError, match="permutation basis"):
+            check_psd(gram(words), 0.5)
+    assert check_psd(gram(basis), 0.5).passed
+    assert check_psd(gram(permutation_basis((A, A, B))), 0.5).min_eigenvalue == 0.0
 
 def test_state_scalar_product_bilinearity():
     s1 = build_state((A, B), preset_rep(2, "symmetric"))

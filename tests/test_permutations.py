@@ -18,11 +18,12 @@ from quonstat import (
     identity,
     inverse,
     inversion_number,
+    orthogonal_form,
     preset_rep,
     random_rep,
     sign,
 )
-from quonstat.permutations import check_permutation
+from quonstat.permutations import check_permutation, dominates, irrep_name, partitions
 
 from oracles import CHARACTER_TABLES
 
@@ -183,3 +184,82 @@ def test_class_sizes_count_permutations():
         for p in all_permutations(n):
             counted[cycle_type(p)] += 1
         assert counted == {ct: size for ct, size in table.classes}
+
+
+def _dense(form):
+    """The generator matrices of an `OrthogonalForm` as dense rows."""
+    out = []
+    for diagonal, partner, coupling in form.generators:
+        m = [[0.0] * form.dimension for _ in range(form.dimension)]
+        for a in range(form.dimension):
+            m[a][a] += diagonal[a]
+            m[partner[a]][a] += coupling[a]
+        out.append(m)
+    return out
+
+
+def _identity(d):
+    return [[float(i == j) for j in range(d)] for i in range(d)]
+
+
+def _mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _close(a, b, tol=1e-12):
+    return all(abs(x - y) <= tol for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def test_orthogonal_form_satisfies_the_coxeter_relations():
+    for n in range(1, 7):
+        for shape in partitions(n):
+            form = orthogonal_form(shape)
+            gens = _dense(form)
+            eye = _identity(form.dimension)
+            for i, si in enumerate(gens):
+                assert si == [list(col) for col in zip(*si)]  # symmetric
+                assert _close(_mul(si, si), eye), (shape, i)
+                for j in range(i + 2, len(gens)):
+                    assert _close(_mul(si, gens[j]), _mul(gens[j], si)), (shape, i, j)
+                if i + 1 < len(gens):
+                    sj = gens[i + 1]
+                    assert _close(_mul(_mul(si, sj), si), _mul(_mul(sj, si), sj)), (shape, i)
+
+
+def test_orthogonal_form_traces_are_the_characters():
+    # a cycle type is the product of the cycles s_a s_{a+1} .. s_{a+l-2}
+    # on consecutive places; its trace must be the character table's entry
+    for n in range(2, 7):
+        table = character_table(n)
+        for shape in partitions(n):
+            form = orthogonal_form(shape)
+            name = irrep_name(shape)
+            assert form.dimension == table.dimension(name)
+            gens = _dense(form)
+            chars = next(c for label, _, c in table.irreps if label == name)
+            for (mu, _), chi in zip(table.classes, chars):
+                m = _identity(form.dimension)
+                start = 0
+                for length in mu:
+                    for k in range(start, start + length - 1):
+                        m = _mul(m, gens[k])
+                    start += length
+                assert abs(sum(m[i][i] for i in range(form.dimension)) - chi) < 1e-9, (shape, mu)
+
+
+def test_orthogonal_form_refuses_bad_shapes():
+    for bad in ((), (1, 2), (2, 0)):
+        with pytest.raises(ContractViolation, match="not a partition"):
+            orthogonal_form(bad)
+    with pytest.raises(CapExceeded, match="cap is 8"):
+        orthogonal_form((9,))
+
+
+def test_partitions_dominance_and_names():
+    assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert [irrep_name(shape) for shape in partitions(4)] == list(character_table(4).labels)
+    assert irrep_name((1,)) == "trivial"
+    # dominance is a partial order: from n = 6 on some shapes are incomparable
+    assert dominates((3, 1), (2, 2)) and not dominates((2, 2), (3, 1))
+    assert dominates((2, 2), (2, 1, 1)) and dominates((4,), (1, 1, 1, 1))
+    assert not dominates((3, 1, 1, 1), (2, 2, 2)) and not dominates((2, 2, 2), (3, 1, 1, 1))
