@@ -18,8 +18,6 @@ from .errors import ContractViolation, ParseError, QuonError, read_text
 from .permutations import RepCoefficients, preset_rep
 from .wick import ModeLabel
 
-GRAM_CLI_CAP = 6  # (n!)^2 printed entries, n! scalar products; 6 keeps the CLI responsive
-
 
 def _parse_labels(raw: str) -> tuple[ModeLabel, ...]:
     if not raw:
@@ -117,19 +115,17 @@ def _cmd_gram(args) -> int:
     labels = _parse_labels(args.labels)
     if args.check_psd and args.q is None:
         raise ParseError("--check-psd needs --q")
-    if len(labels) > GRAM_CLI_CAP:
-        raise ContractViolation(f"gram is capped at {GRAM_CLI_CAP} labels on the CLI")
-    basis = fock.permutation_basis(labels)
-    g = fock.gram(basis)
+    g = fock.gram(fock.permutation_basis(labels))
     if args.q is None:
         for row in g.entries:
             print("\t".join(str(entry) for entry in row))
     else:
         numeric = g.evaluate(args.q)
+        # a refused report must leave stdout empty
+        report = fock.psd_report(labels, args.q) if args.check_psd else None
         for row in numeric:
             print("\t".join(f"{value:.10g}" for value in row))
         if args.check_psd:
-            report = fock.psd_report(labels, args.q)
             verdict = "pass" if report.passed else "fail"
             flag = "in_range" if report.q_in_range else "outside_range"
             print(f"psd\t{verdict}\t{report.min_eigenvalue:.6e}\t{flag}")
@@ -148,16 +144,13 @@ def _cmd_composite(args) -> int:
     spec = composite_mod.CompositeSpec(
         n=args.n, internal_labels=tuple(range(1, args.n + 1)), rep=rep
     )
+    # the overlap term first: past its cap it is refused before the law runs
+    overlap = composite_mod.cross_term_magnitude(spec, shared_tags=True) if args.overlap else None
     aligned, swapped, exponent = composite_mod.exchange_law(spec)
-    # without --overlap the cross term is that of the aligned product,
-    # which exchange_law has already computed and checked to be zero
-    if args.overlap:
-        cross = composite_mod.cross_term_magnitude(spec, shared_tags=True)
-    else:
-        cross = aligned.cross
     print(f"direct\t{aligned.direct}")
     print(f"exchange\t{swapped.exchange}")
-    print(f"cross\t{cross}")
+    # without --overlap, the aligned cross term, which exchange_law checked to be zero
+    print(f"cross\t{aligned.cross if overlap is None else overlap}")
     print(f"exponent\t{exponent}")
     return 0
 

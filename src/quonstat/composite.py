@@ -16,15 +16,16 @@ two-composite states splits over pairing diagrams by block structure:
 
 ``two_composite_scalar`` splits each pairing by the set S of left
 positions it sends into the first right composite (Rosso's quantum-shuffle
-coproduct on the Bozejko-Speicher pairing rule).  The two whole left
-blocks are the direct and the exchange S: their crossings with the rest
-are counted, which gives the q^(n^2) of the swap, and each left block
-pairs with its right composite in one state product.  A mixed S sends
-operators of both left composites into one right composite, so the tag
-test passes it only when a side repeats a tag.  With distinct tags on
-both sides the cross term is therefore zero; otherwise it is the full
-product less the two whole-block terms, one more engine call on the
-2n-operator states, which is refused beyond ``MAX_OVERLAP_N``.
+coproduct on the Bozejko-Speicher pairing rule).  Labels pair only if
+their tags agree, and that one test decides every S.  The two whole
+left blocks are the direct and the exchange S: their crossings with the
+rest are counted, which gives the q^(n^2) of the swap, and each block
+pairs with a right composite of its own tag in one state product.  A
+mixed S sends operators of both left composites into one right
+composite, so it passes only when a side repeats a tag.  With distinct
+tags on both sides the cross term is therefore zero; otherwise it is the
+full product less the two whole-block terms, one more engine call on
+the 2n-operator states, which is refused beyond ``MAX_OVERLAP_N``.
 """
 
 from typing import Hashable, NamedTuple, Sequence
@@ -36,8 +37,7 @@ from .qpoly import QPolynomial
 from .record import Record
 from .wick import ModeLabel
 
-MAX_OVERLAP_N = 4        # two-composite products with a repeated tag on one side
-MAX_COMPOSITE_N = 6      # two-composite products with distinct tags
+MAX_OVERLAP_N = 4  # two-composite products with a repeated tag on one side
 
 BOSON = "boson"
 FERMION = "fermion"
@@ -97,34 +97,33 @@ def two_composite_scalar(
     composite; its crossings are those inside S, those inside the rest,
     and #{i < j : i not in S, j in S}.  The direct and exchange
     components are the two whole-block S, each q^crossings times two
-    composite-by-composite state products.  A mixed S sends operators of
-    both left composites into one right composite, so it survives the tag
-    test only if a side repeats a tag.  With distinct tags on both sides
-    the cross component is therefore zero; otherwise it is the full
-    product of the two tensor states less the whole-block terms.
+    composite-by-composite state products.  The tag test decides every
+    S: a block and a composite with different tags share no label, so
+    their product is zero and is not contracted, and a mixed S passes
+    only if a side repeats a tag.  With distinct tags on both sides the
+    cross component is zero; otherwise it is the full product of the two
+    tensor states less the whole-block terms.
     """
     n = spec.n
     (t1, t2), (u1, u2) = left_tags, right_tags
-    if n > MAX_COMPOSITE_N:
-        raise CapExceeded(f"two-composite scalar products are capped at n={MAX_COMPOSITE_N}")
     overlap = t1 == t2 or u1 == u2
     if overlap and n > MAX_OVERLAP_N:
         raise CapExceeded(f"overlap contraction is capped at n={MAX_OVERLAP_N}")
-    words = {tag: composite_word(spec, tag) for tag in dict.fromkeys((t1, t2, u1, u2))}
-    products = {
-        (t, u): state_scalar_product(words[t], words[u])
-        for t, u in dict.fromkeys(((t1, u1), (t2, u2), (t2, u1), (t1, u2)))
-    }
-    # S is left block k: it pairs with u1 and the other block with u2
+    # S is left block k: it pairs with u1 and the other block with u2, so
+    # it passes the tag test only if those blocks carry u1 and u2
+    passes = [(left_tags[k], left_tags[1 - k]) == (u1, u2) for k in (0, 1)]
+    tags = dict.fromkeys((t1, t2, u1, u2)) if overlap or any(passes) else ()
+    words = {tag: composite_word(spec, tag) for tag in tags}
+    products = {t: state_scalar_product(words[t], words[t]) for t in words if any(passes)}
+    zero = QPolynomial.zero()
     whole_blocks = []
     for k in (0, 1):
         s = range(k * n, (k + 1) * n)
         crossings = sum(i < j for i in range(2 * n) if i not in s for j in s)
-        on_s = products[left_tags[k], u1]
-        off_s = products[left_tags[1 - k], u2]
-        whole_blocks.append(QPolynomial.monomial(crossings) * on_s * off_s)
+        term = products[u1] * products[u2] if passes[k] else zero
+        whole_blocks.append(QPolynomial.monomial(crossings) * term)
     direct, exchange = whole_blocks
-    cross = QPolynomial.zero()
+    cross = zero
     if overlap:
         full = state_scalar_product(tensor(words[t1], words[t2]), tensor(words[u1], words[u2]))
         cross = full - direct - exchange
@@ -142,7 +141,7 @@ def exchange_law(
     direct, plus the n^2 crossing count of the order-preserving block
     swap.  Any failure raises TheoremViolation.  The products come from
     ``two_composite_scalar``, which counts the crossings of the swap and
-    contracts each composite pair, so neither identity is assumed.
+    contracts the composite pairs whose tags agree: no identity is assumed.
     """
     n = spec.n
     if inversion_number(block_swap(n)) != n * n:

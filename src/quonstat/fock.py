@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .errors import ContractViolation, UnsupportedError
+from .errors import CapExceeded, ContractViolation, UnsupportedError
 from .permutations import (
     RepCoefficients,
     all_permutations,
@@ -46,6 +46,8 @@ from .permutations import (
 from .qpoly import QPolynomial
 from .record import Record
 from .wick import ModeLabel, Word, contract_terms, scalar_product
+
+GRAM_CAP = 720  # words a Gram matrix may have: the permutation basis of 6 labels
 
 
 class StateVector(Record):
@@ -165,6 +167,8 @@ def gram(words: Sequence[Word]) -> GramMatrix:
     lower triangle reuses the upper one.
     """
     words = tuple(tuple(w) for w in words)
+    if len(words) > GRAM_CAP:
+        raise CapExceeded(f"gram is capped at {GRAM_CAP} words, got {len(words)}")
     if words:
         length = len(words[0])
         if any(len(w) != length for w in words):
@@ -238,11 +242,11 @@ def psd_report(
     q outside [-1, 1] is permitted but flagged: positivity is only
     guaranteed inside the convexity range.  Empty labels, more than
     DEFAULT_ENUM_CAP (8) labels and a non-finite q are refused, and so
-    is a q at which ``GramMatrix.evaluate`` refuses the matrix: where
-    q^top, top = n(n-1)/2, overflows.  For n <= 6 that is exactly the
-    same set of q, because there the entries of degree top, a word
-    paired with its reverse, are q^top plus lower powers that are below
-    its rounding whenever |q| is large enough to overflow.
+    is a q where q^top, top = n(n-1)/2, or the minimum eigenvalue
+    overflows.  For n <= 6 that covers every q at which
+    ``GramMatrix.evaluate`` refuses the matrix, because there the entries
+    of degree top, a word paired with its reverse, are q^top plus lower
+    powers below its rounding whenever |q| is that large.
     """
     labels = tuple(labels)
     n = len(labels)
@@ -271,6 +275,8 @@ def psd_report(
             least = _min_eigenvalue(_irrep_block(shape, x))
             candidates.append((scale * least, shape))
     min_eig, shape = min(candidates, key=lambda c: c[0])
+    if not math.isfinite(min_eig):
+        raise ContractViolation(f"the Gram matrix overflows a float at q = {q_value}")
     if tolerance is None:
         tolerance = 1e-10 * math.factorial(n)
     passed = min_eig >= -tolerance
@@ -388,8 +394,9 @@ def irrep_weight_polys(n: int) -> dict[str, QPolynomial]:
 
 def irrep_weights(n: int, q_value: float) -> dict[str, float]:
     """q-dependent probabilities of the S_n irreps for n distinct quons;
-    reproduces (1+q)/2 and (1-q)/2 at n=2.  Requires -1 < q < 1."""
+    reproduces (1+q)/2 and (1-q)/2 at n=2.  Requires -1 < q < 1.  The
+    exact polynomials are evaluated at the rational q and rounded once."""
     if not -1.0 < q_value < 1.0:
         raise ContractViolation("irrep weights require -1 < q < 1")
-    x = float(q_value)
-    return {label: poly.evaluate(x) for label, poly in irrep_weight_polys(n).items()}
+    x = Fraction(q_value)
+    return {label: float(poly.evaluate(x)) for label, poly in irrep_weight_polys(n).items()}

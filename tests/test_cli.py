@@ -194,6 +194,13 @@ def test_gram_refuses_overflowing_q(capsys):
         assert "q = 1e+200" in err
 
 
+def test_gram_check_psd_refuses_an_overflowing_minimum(capsys):
+    # every entry is finite; the minimum eigenvalue is below -1.8e308
+    code, out, err = run(capsys, "gram", "--labels", "a,a,b", "--q", "5e102", "--check-psd")
+    assert (code, out) == (1, "")
+    assert err == "error: the Gram matrix overflows a float at q = 5e+102\n"
+
+
 def test_gram_check_psd_needs_q(capsys):
     code, out, err = run(capsys, "gram", "--labels", "a,b", "--check-psd")
     assert (code, out) == (2, "")
@@ -210,6 +217,19 @@ def test_weights(capsys):
     code, out, _ = run(capsys, "weights", "--n", "2", "--q", "0.3")
     assert code == 0
     assert out == "trivial\t0.65\nsign\t0.35\n"
+
+
+def test_weights_are_rounded_once_from_the_exact_value(capsys):
+    code, out, _ = run(capsys, "weights", "--n", "8", "--q", "-0.999")
+    assert code == 0
+    assert out.startswith("trivial\t5.881428316e-16\n")
+    code, out, _ = run(capsys, "weights", "--n", "5", "--q", "-0.5")
+    assert code == 0
+    assert out == (
+        "trivial\t0.001342773438\n4+1\t0.041015625\n3+2\t0.09851074219\n"
+        "3+1+1\t0.2264648438\n2+2+1\t0.2332763672\n2+1+1+1\t0.319921875\n"
+        "sign\t0.07946777344\n"
+    )
 
 
 def test_weights_names_the_irreps_of_s5(capsys):
@@ -257,7 +277,9 @@ def test_composite_overlap_cross(capsys):
 def test_composite_contracts_each_product_once(monkeypatch, capsys, overlap, full):
     # the aligned and swapped products, plus the four-equal-tag product
     # under --overlap, whose cross term takes the one full contraction of
-    # the 2n-operator states; the distinct-tag cross term is the aligned one
+    # the 2n-operator states; the distinct-tag cross term is the aligned one.
+    # Only composites of equal tags are contracted: two per product, one
+    # under full overlap, and the normalization for the P^2 check
     products = []
     word_lengths = []
     two_composite_scalar = composite.two_composite_scalar
@@ -281,6 +303,26 @@ def test_composite_contracts_each_product_once(monkeypatch, capsys, overlap, ful
     expected += [(("t", "t"), ("t", "t"))] * full
     assert sorted(products) == sorted(expected)
     assert word_lengths.count(8) == full
+    assert len(word_lengths) == 5 + 2 * full
+
+
+def test_composite_overlap_past_its_cap_is_refused_before_the_law(monkeypatch, capsys):
+    def no_law(spec):
+        raise AssertionError("exchange_law ran before the overlap cap was checked")
+
+    monkeypatch.setattr(composite, "exchange_law", no_law)
+    code, out, err = run(capsys, "composite", "--n", "8", "--rep", "sym", "--overlap")
+    assert (code, out) == (1, "")
+    assert err == "error: overlap contraction is capped at n=4\n"
+
+
+def test_composite_one_term_rep_at_n10(tmp_path, capsys):
+    # the S_n cap bounds sym and antisym; a rep file of one term costs one word
+    path = tmp_path / "one.tsv"
+    path.write_text("10,9,8,7,6,5,4,3,2,1\t1\n")
+    code, out, _ = run(capsys, "composite", "--n", "10", "--rep", str(path))
+    assert code == 0
+    assert out.splitlines()[-2:] == ["cross\t0", "exponent\t100"]
 
 
 def test_weo(capsys):

@@ -339,10 +339,14 @@ def test_split_path_matches_full_contraction_n5_and_law_n6():
     assert swapped.exchange == QPolynomial.monomial(36) * aligned.direct
 
 
-def test_composite_cap():
+def test_exchange_law_n7_antisymmetric():
+    # no composite cap: the S_n cap on the state is the only bound on n
     spec = make_spec(7, preset_rep(7, "antisymmetric"))
-    with pytest.raises(CapExceeded):
-        two_composite_scalar(spec, ("t1", "t2"), ("t1", "t2"))
+    aligned, swapped, exponent = exchange_law(spec)
+    p = normalization_poly(spec.rep, [ModeLabel(i) for i in spec.internal_labels])
+    assert exponent == 49
+    assert aligned.direct == p * p
+    assert swapped.exchange == QPolynomial.monomial(49) * aligned.direct
 
 
 def test_block_swap_inversions():

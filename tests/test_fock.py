@@ -1,5 +1,6 @@
 """State construction, normalization polynomials, Gram matrices, weights."""
 
+import functools
 import math
 import random
 import sys
@@ -309,6 +310,15 @@ def test_check_psd_tolerance_validation():
         check_psd(g, 0.5, tolerance=-1e-3)
 
 
+def test_gram_refuses_more_than_720_words_at_once(monkeypatch):
+    def no_engine(*args):
+        raise AssertionError("gram contracted a pair before refusing")
+
+    monkeypatch.setattr(fock, "scalar_product", no_engine)
+    with pytest.raises(CapExceeded, match="capped at 720 words, got 5040"):
+        gram(permutation_basis("abcdefg"))
+
+
 def test_gram_evaluation_refuses_non_finite_q():
     g = gram(permutation_basis(labels(2)))
     for value in (math.nan, math.inf, -math.inf):
@@ -438,7 +448,7 @@ def _top_power_threshold(top):
     return x
 
 
-def test_psd_report_refuses_exactly_where_evaluate_refuses():
+def test_psd_report_refuses_wherever_evaluate_refuses():
     words = ("ab", "abc", "aab", "aaa", "abcd", "aabb", "aaab", "abcde", "aabbc")
     for word in words:
         n = len(word)
@@ -453,11 +463,18 @@ def test_psd_report_refuses_exactly_where_evaluate_refuses():
                     psd_report(word, q)
                 assert str(refused.value) == str(exc)
                 assert str(exc) == f"the Gram matrix overflows a float at q = {q}"
-            else:
+                continue
+            # where every entry is finite, only an overflowing minimum is refused
+            try:
                 report = psd_report(word, q)
-                assert not math.isnan(report.min_eigenvalue)
-                if n == len(set(word)):
-                    assert math.isfinite(report.min_eigenvalue), (word, q)
+            except ContractViolation as exc:
+                assert str(exc) == f"the Gram matrix overflows a float at q = {q}"
+            else:
+                assert math.isfinite(report.min_eigenvalue), (word, q)
+    # every entry of the repeated-label matrix is finite, its minimum is not
+    gram(permutation_basis("aab")).evaluate(5e102)
+    with pytest.raises(ContractViolation, match="overflows a float at q = 5e"):
+        psd_report("aab", 5e102)
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ContractViolation, match="finite"):
             psd_report("ab", value)
@@ -585,6 +602,21 @@ def test_irrep_weight_polys_exact_certificate():
             assert poly.evaluate(1) == (label == "trivial")
             assert poly.evaluate(-1) == (label == "sign")
             assert poly.evaluate(0) == Fraction(dims[label] ** 2, math.factorial(n))
+
+
+def test_irrep_weights_round_the_exact_value_once(monkeypatch):
+    # the class sum cancels to ~1e-16 at q = -0.999, where a float Horner
+    # pass of the polynomial is 1 % off
+    trivial = irrep_weights(8, -0.999)["trivial"]
+    assert trivial == float(irrep_weight_polys(8)["trivial"].evaluate(Fraction(-0.999)))
+    assert f"{trivial:.10g}" == "5.881428316e-16"
+    monkeypatch.setattr(fock, "irrep_weight_polys", functools.cache(fock.irrep_weight_polys))
+    for n in range(2, 9):
+        polys = fock.irrep_weight_polys(n)
+        for k in range(-19, 20, 2):
+            q = k / 20 + 0.001 * n
+            exact = {label: float(poly.evaluate(Fraction(q))) for label, poly in polys.items()}
+            assert irrep_weights(n, q) == exact, (n, q)
 
 
 def test_irrep_weights_range_checks():
