@@ -25,19 +25,18 @@ mixed S sends operators of both left composites into one right
 composite, so it passes only when a side repeats a tag.  With distinct
 tags on both sides the cross term is therefore zero; otherwise it is the
 full product less the two whole-block terms, one more engine call on
-the 2n-operator states, which is refused beyond ``MAX_OVERLAP_N``.
+the 2n-operator states.  That is work over S_2n, which the S_k cap of
+``errors.refuse_above_cap`` refuses for n > 4.
 """
 
 from typing import Hashable, NamedTuple, Sequence
 
-from .errors import CapExceeded, ContractViolation, TheoremViolation
+from .errors import ContractViolation, TheoremViolation, refuse_above_cap
 from .fock import StateVector, build_state, normalization_poly, state_scalar_product, tensor
 from .permutations import Permutation, RepCoefficients, inversion_number
 from .qpoly import QPolynomial
 from .record import Record
 from .wick import ModeLabel
-
-MAX_OVERLAP_N = 4  # two-composite products with a repeated tag on one side
 
 BOSON = "boson"
 FERMION = "fermion"
@@ -107,8 +106,9 @@ def two_composite_scalar(
     n = spec.n
     (t1, t2), (u1, u2) = left_tags, right_tags
     overlap = t1 == t2 or u1 == u2
-    if overlap and n > MAX_OVERLAP_N:
-        raise CapExceeded(f"overlap contraction is capped at n={MAX_OVERLAP_N}")
+    if overlap:
+        # the full contraction of the 2n-operator states is work over S_2n
+        refuse_above_cap(2 * n)
     # S is left block k: it pairs with u1 and the other block with u2, so
     # it passes the tag test only if those blocks carry u1 and u2
     passes = [(left_tags[k], left_tags[1 - k]) == (u1, u2) for k in (0, 1)]
@@ -188,7 +188,7 @@ def cross_term_magnitude(spec: CompositeSpec, shared_tags: bool) -> QPolynomial:
     With all four tags equal the constituents of every composite can
     contract into both composites on the other side; the returned
     polynomial quantifies the correction the weak-binding assumption
-    drops; it needs the full contraction, so n > MAX_OVERLAP_N is
+    drops; it needs the full contraction, work over S_2n, so n > 4 is
     refused.  With four pairwise-distinct tags no pairing reaches it.
     """
     left_tags, right_tags = (("t", "t"), ("t", "t")) if shared_tags else (("t1", "t2"), ("u1", "u2"))

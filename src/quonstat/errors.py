@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all quonstat modules."""
+"""Exception hierarchy shared by all quonstat modules, and the caps that
+refuse exponential work: one per kind of work, all kept here."""
+
+DEFAULT_ENUM_CAP = 8  # work over S_k: enumerations, tables, PSD blocks, oracle, overlap
+Q_PERMANENT_CAP = 16  # 2^16 subset states; also the longest scalar_product word
+GRAM_CAP = 720  # words a Gram matrix may have: the permutation basis of 6 labels
 
 
 class QuonError(Exception):
@@ -10,7 +15,16 @@ class ContractViolation(QuonError):
 
 
 class CapExceeded(ContractViolation):
-    """A factorial/exponential enumeration budget was refused."""
+    """Work past DEFAULT_ENUM_CAP, Q_PERMANENT_CAP or GRAM_CAP was refused
+    before any of it was done."""
+
+
+def refuse_above_cap(k: int) -> None:
+    """Refuse any work over S_k, k! elements, above DEFAULT_ENUM_CAP."""
+    if k > DEFAULT_ENUM_CAP:
+        raise CapExceeded(
+            f"refusing work over S_{k} ({k}! elements); cap is {DEFAULT_ENUM_CAP}"
+        )
 
 
 class UnsupportedError(QuonError):

@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .errors import CapExceeded, ContractViolation, UnsupportedError
+from .errors import GRAM_CAP, CapExceeded, ContractViolation, UnsupportedError, refuse_above_cap
 from .permutations import (
     RepCoefficients,
     all_permutations,
@@ -41,13 +41,10 @@ from .permutations import (
     irrep_name,
     orthogonal_form,
     partitions,
-    refuse_above_cap,
 )
 from .qpoly import QPolynomial
 from .record import Record
 from .wick import ModeLabel, Word, contract_terms, scalar_product
-
-GRAM_CAP = 720  # words a Gram matrix may have: the permutation basis of 6 labels
 
 
 class StateVector(Record):
@@ -253,7 +250,7 @@ def psd_report(
     if n == 0:
         raise ContractViolation("the PSD check needs a non-empty Gram matrix")
     refuse_above_cap(n)
-    if tolerance is not None and tolerance <= 0:
+    if tolerance is not None and not tolerance > 0:
         raise ContractViolation("tolerance must be positive")
     x = _finite_q(q_value)
     # q^top by the repeated products of QPolynomial.evaluate
@@ -309,11 +306,9 @@ def _irrep_block(shape: tuple[int, ...], x: float) -> list[list[float]]:
     T_k is divided by |q|^(k-1), so no entry exceeds n! in magnitude."""
     dimension, generators = orthogonal_form(shape)
     block = [[float(a == b) for b in range(dimension)] for a in range(dimension)]
+    m = max(1.0, abs(x))
     for k in range(2, len(generators) + 2):
-        if abs(x) <= 1:
-            weights = [x**j for j in range(k)]
-        else:
-            weights = [math.copysign(1.0, x) ** j * abs(x) ** (j - k + 1) for j in range(k)]
+        weights = [(x / m) ** j * m ** (j - k + 1) for j in range(k)]
         step = block
         total = [[weights[0] * v for v in row] for row in block]
         for j in range(1, k):

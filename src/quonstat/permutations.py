@@ -19,15 +19,13 @@ from fractions import Fraction
 from itertools import permutations as _itertools_permutations
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import CapExceeded, ContractViolation, UnsupportedError
+from .errors import ContractViolation, UnsupportedError, refuse_above_cap
 from .record import Record
 
 if TYPE_CHECKING:
     import random
 
 Permutation = tuple[int, ...]
-
-DEFAULT_ENUM_CAP = 8
 
 
 def check_permutation(p: Permutation) -> Permutation:
@@ -98,15 +96,6 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         raise ContractViolation("n must be >= 1")
     refuse_above_cap(n)
     return _itertools_permutations(range(1, n + 1))
-
-
-def refuse_above_cap(n: int) -> None:
-    """Refuse any work over S_n, n! elements, above DEFAULT_ENUM_CAP."""
-    if n > DEFAULT_ENUM_CAP:
-        raise CapExceeded(
-            f"refusing to enumerate S_{n} ({n}! elements); "
-            f"cap is {DEFAULT_ENUM_CAP}"
-        )
 
 
 class RepCoefficients(Record):

@@ -10,7 +10,8 @@ give zero because an operator is left over to annihilate the vacuum.
 Two independent evaluation paths are provided on purpose:
 
 * ``oracle_scalar_product`` / ``oracle_q_permanent`` enumerate all n!
-  pairings literally and serve as the ground truth;
+  pairings literally and serve as the ground truth; being work over S_n,
+  they are refused above the S_k cap, n > 8;
 * ``scalar_product`` runs the contraction engine ``contract_terms``, which
   applies the left word as quon annihilators to the right word and
   returns the whole product as one polynomial; the states of ``fock``
@@ -31,11 +32,8 @@ from fractions import Fraction
 from itertools import permutations as _bijections
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
-from .errors import CapExceeded, ContractViolation
+from .errors import Q_PERMANENT_CAP, CapExceeded, ContractViolation, refuse_above_cap
 from .qpoly import QPolynomial
-
-ORACLE_CAP = 9          # 9! pairings is the enumeration budget
-Q_PERMANENT_CAP = 16    # 2^16 subset states; also the longest scalar_product word
 
 
 class ModeLabel(NamedTuple):
@@ -151,8 +149,7 @@ def oracle_q_permanent(matrix: Sequence[Sequence]) -> QPolynomial:
             raise ContractViolation("q_permanent requires a square matrix")
     if n == 0:
         return QPolynomial.one()
-    if n > ORACLE_CAP:
-        raise CapExceeded(f"oracle enumeration budget is {ORACLE_CAP}!, got n={n}")
+    refuse_above_cap(n)
     coeffs = [0] * (n * (n - 1) // 2 + 1)
     for bijection in _bijections(range(n)):
         prod = 1

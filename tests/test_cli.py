@@ -313,7 +313,7 @@ def test_composite_overlap_past_its_cap_is_refused_before_the_law(monkeypatch, c
     monkeypatch.setattr(composite, "exchange_law", no_law)
     code, out, err = run(capsys, "composite", "--n", "8", "--rep", "sym", "--overlap")
     assert (code, out) == (1, "")
-    assert err == "error: overlap contraction is capped at n=4\n"
+    assert err == "error: refusing work over S_16 (16! elements); cap is 8\n"
 
 
 def test_composite_one_term_rep_at_n10(tmp_path, capsys):

@@ -19,6 +19,7 @@ from quonstat import (
     RepCoefficients,
     all_permutations,
     block_swap,
+    composite,
     composite_word,
     cross_term_magnitude,
     effective_exponent,
@@ -145,8 +146,9 @@ def test_spec_validation():
         CompositeSpec(n=3, internal_labels=(1, 2, 3), rep=preset_rep(2, "symmetric"))
 
 
-def test_two_composite_repeated_tag_on_one_side():
-    # a repeated tag is computed up to the overlap cap, and refused past it
+def test_two_composite_repeated_tag_on_one_side(monkeypatch):
+    # a repeated tag is computed while the full contraction, work over
+    # S_2n, is within the S_k cap, and refused past it before any state
     spec = make_spec(2)
     got = two_composite_scalar(spec, ("t", "t"), ("u1", "u2"))
     want = literal_classified(spec, ("t", "t"), ("u1", "u2"))
@@ -155,8 +157,14 @@ def test_two_composite_repeated_tag_on_one_side():
         want["exchange"],
         want["cross"],
     )
-    with pytest.raises(CapExceeded, match="capped at n=4"):
-        two_composite_scalar(make_spec(5, preset_rep(5, "symmetric")), ("t", "t"), ("t", "t"))
+    spec = make_spec(5, preset_rep(5, "symmetric"))
+
+    def no_state(*args):
+        raise AssertionError("a composite state was built before the refusal")
+
+    monkeypatch.setattr(composite, "composite_word", no_state)
+    with pytest.raises(CapExceeded, match=r"S_10 \(10! elements\); cap is 8"):
+        two_composite_scalar(spec, ("t", "t"), ("t", "t"))
 
 
 def test_single_constituent_examples():

@@ -310,6 +310,15 @@ def test_check_psd_tolerance_validation():
         check_psd(g, 0.5, tolerance=-1e-3)
 
 
+def test_a_nan_tolerance_is_refused():
+    # NaN compares false with 0 both ways; it must not turn a pass into fail
+    g = gram(permutation_basis("abc"))
+    with pytest.raises(ContractViolation, match="tolerance must be positive"):
+        psd_report("abc", 0.5, tolerance=math.nan)
+    with pytest.raises(ContractViolation, match="tolerance must be positive"):
+        check_psd(g, 0.5, tolerance=math.nan)
+
+
 def test_gram_refuses_more_than_720_words_at_once(monkeypatch):
     def no_engine(*args):
         raise AssertionError("gram contracted a pair before refusing")

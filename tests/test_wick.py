@@ -74,6 +74,13 @@ def test_q_permanent_cap():
     assert scalar_product(word, word[:16]) == QPolynomial.zero()
 
 
+def test_oracle_q_permanent_is_capped_as_work_over_s_n():
+    ones = [[1] * 8 for _ in range(8)]
+    assert oracle_q_permanent(ones) == q_permanent(ones)
+    with pytest.raises(CapExceeded, match=r"S_9 \(9! elements\); cap is 8"):
+        oracle_q_permanent([[1] * 9 for _ in range(9)])
+
+
 def test_scalar_product_cap_names_word_length():
     word = tuple(ModeLabel(i) for i in range(17))
     with pytest.raises(CapExceeded, match="16 letters per word, got 17"):
