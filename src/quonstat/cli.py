@@ -117,8 +117,8 @@ def _cmd_gram(args) -> int:
         raise ParseError("--check-psd needs --q")
     g = fock.gram(fock.permutation_basis(labels))
     if args.q is None:
-        for row in g.entries:
-            print("\t".join(str(entry) for entry in row))
+        for row in g.map_entries(str):
+            print("\t".join(row))
     else:
         numeric = g.evaluate(args.q)
         # a refused report must leave stdout empty

@@ -18,15 +18,15 @@ two-composite states splits over pairing diagrams by block structure:
 positions it sends into the first right composite (Rosso's quantum-shuffle
 coproduct on the Bozejko-Speicher pairing rule).  Labels pair only if
 their tags agree, and that one test decides every S.  The two whole
-left blocks are the direct and the exchange S: their crossings with the
-rest are counted, which gives the q^(n^2) of the swap, and each block
-pairs with a right composite of its own tag in one state product.  A
-mixed S sends operators of both left composites into one right
-composite, so it passes only when a side repeats a tag.  With distinct
-tags on both sides the cross term is therefore zero; otherwise it is the
-full product less the two whole-block terms, one more engine call on
-the 2n-operator states.  That is work over S_2n, which the S_k cap of
-``errors.refuse_above_cap`` refuses for n > 4.
+left blocks are the direct and the exchange S.  A block pairs with a
+composite of its own tag as a composite pairs with itself, so each
+passing block's term is q^crossings * P * P for the composite norm P,
+contracted once per product; the exchange block's crossings are the n^2
+inversions of ``block_swap``.  A mixed S passes only when a side repeats
+a tag, so with distinct tags on both sides the cross term is zero;
+otherwise it is the full product less the two whole-block terms, one
+more engine call on the 2n-operator states.  That is work over S_2n,
+which the S_k cap of ``errors.refuse_above_cap`` refuses for n > 4.
 """
 
 from typing import Hashable, NamedTuple, Sequence
@@ -95,13 +95,14 @@ def two_composite_scalar(
     A pairing sends a set S of left positions into the first right
     composite; its crossings are those inside S, those inside the rest,
     and #{i < j : i not in S, j in S}.  The direct and exchange
-    components are the two whole-block S, each q^crossings times two
-    composite-by-composite state products.  The tag test decides every
-    S: a block and a composite with different tags share no label, so
-    their product is zero and is not contracted, and a mixed S passes
-    only if a side repeats a tag.  With distinct tags on both sides the
-    cross component is zero; otherwise it is the full product of the two
-    tensor states less the whole-block terms.
+    components are the two whole-block S, with the 0 and n^2 crossings
+    of the identity and of ``block_swap``.  A block paired with a
+    composite of another tag gives zero, and one of its own tag gives
+    the composite norm P, so a passing block's term is
+    q^crossings * P * P; P is contracted once, only if a block passes.
+    A mixed S passes only if a side repeats a tag.  With distinct tags
+    on both sides the cross component is zero; otherwise it is the full
+    product of the two tensor states less the whole-block terms.
     """
     n = spec.n
     (t1, t2), (u1, u2) = left_tags, right_tags
@@ -112,21 +113,20 @@ def two_composite_scalar(
     # S is left block k: it pairs with u1 and the other block with u2, so
     # it passes the tag test only if those blocks carry u1 and u2
     passes = [(left_tags[k], left_tags[1 - k]) == (u1, u2) for k in (0, 1)]
-    tags = dict.fromkeys((t1, t2, u1, u2)) if overlap or any(passes) else ()
-    words = {tag: composite_word(spec, tag) for tag in tags}
-    products = {t: state_scalar_product(words[t], words[t]) for t in words if any(passes)}
     zero = QPolynomial.zero()
-    whole_blocks = []
-    for k in (0, 1):
-        s = range(k * n, (k + 1) * n)
-        crossings = sum(i < j for i in range(2 * n) if i not in s for j in s)
-        term = products[u1] * products[u2] if passes[k] else zero
-        whole_blocks.append(QPolynomial.monomial(crossings) * term)
-    direct, exchange = whole_blocks
+    direct = exchange = zero
+    if any(passes):
+        norm = normalization_poly(spec.rep, [ModeLabel(i) for i in spec.internal_labels])
+        squared = norm * norm
+        crossings = (0, inversion_number(block_swap(n)))
+        direct, exchange = (
+            QPolynomial.monomial(c) * squared if ok else zero for c, ok in zip(crossings, passes)
+        )
     cross = zero
     if overlap:
-        full = state_scalar_product(tensor(words[t1], words[t2]), tensor(words[u1], words[u2]))
-        cross = full - direct - exchange
+        left = tensor(composite_word(spec, t1), composite_word(spec, t2))
+        right = tensor(composite_word(spec, u1), composite_word(spec, u2))
+        cross = state_scalar_product(left, right) - direct - exchange
     return TwoCompositeResult(direct=direct, exchange=exchange, cross=cross, n=n)
 
 
@@ -140,8 +140,8 @@ def exchange_law(
     Asserts the exact identities direct = P^2 and exchange = q^(n^2) *
     direct, plus the n^2 crossing count of the order-preserving block
     swap.  Any failure raises TheoremViolation.  The products come from
-    ``two_composite_scalar``, which counts the crossings of the swap and
-    contracts the composite pairs whose tags agree: no identity is assumed.
+    ``two_composite_scalar``, whose exchange crossings are those of
+    ``block_swap``; direct = P^2 checks where its split put the norm.
     """
     n = spec.n
     if inversion_number(block_swap(n)) != n * n:

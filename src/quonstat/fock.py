@@ -12,10 +12,11 @@ contraction engine, ``wick.contract_terms``, which ``state_scalar_product``
 calls once on the terms of two `StateVector`: the left words act as quon
 annihilators on the sparse right state (the q-Fock-space action of
 Bozejko and Speicher), so the work grows with the residual support rather
-than with the number of word pairs.  A Gram matrix calls the engine once per distinct pattern of equal
-labels in a word pair (n! times for the permutation basis of n distinct
-labels, not (n!)^2), its entries share one object per pattern, and the
-float evaluation runs once per shared object.
+than with the number of word pairs.  A Gram matrix calls the engine once
+per distinct pattern of equal labels in a word pair (n! times for the
+permutation basis of n distinct labels, not (n!)^2), its entries share
+one object per pattern, and ``GramMatrix.map_entries`` runs a function,
+such as the float evaluation or the text format, once per shared object.
 
 The PSD check never builds the Gram matrix.  On the permutation basis
 that matrix is X_n = sum_P q^inv(P) P in the regular representation
@@ -28,7 +29,7 @@ and their eigenvalues found by Jacobi rotations, in plain Python floats.
 
 import math
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import GRAM_CAP, CapExceeded, ContractViolation, UnsupportedError, refuse_above_cap
 from .permutations import (
@@ -132,23 +133,33 @@ class GramMatrix(NamedTuple):
     def dimension(self) -> int:
         return len(self.words)
 
-    def evaluate(self, q_value: float) -> list[list[float]]:
-        """The entries at q, as rows of Python floats.
+    def map_entries(self, f: Callable[[QPolynomial], object]) -> list[list]:
+        """f of every entry, as rows.
 
-        Each distinct entry object is evaluated once and the value reused
-        wherever that object recurs, so a matrix from ``gram`` costs one
-        Horner pass per distinct scalar product; entries that are equal
-        but distinct objects are simply evaluated separately.  A
-        non-finite q, or a q at which an entry overflows, is refused.
+        f runs once per distinct entry object and its value is reused
+        wherever that object recurs, so on a matrix from ``gram`` it runs
+        once per distinct scalar product; entries that are equal but
+        distinct objects are simply passed to f separately.
         """
-        x = _finite_q(q_value)
         # keyed by identity: hashing the Fraction coefficients of a
-        # polynomial costs more than the Horner pass it would save
+        # polynomial costs more than most calls it would save
         distinct = {id(entry): entry for row in self.entries for entry in row}
-        values = {key: entry.evaluate(x) for key, entry in distinct.items()}
-        if not all(map(math.isfinite, values.values())):
-            raise ContractViolation(f"the Gram matrix overflows a float at q = {q_value}")
+        values = {key: f(entry) for key, entry in distinct.items()}
         return [[values[id(entry)] for entry in row] for row in self.entries]
+
+    def evaluate(self, q_value: float) -> list[list[float]]:
+        """The entries at q, as rows of Python floats, one Horner pass per
+        distinct entry object (see ``map_entries``).  A non-finite q, or a
+        q at which an entry overflows, is refused."""
+        x = _finite_q(q_value)
+
+        def value(entry: QPolynomial) -> float:
+            v = entry.evaluate(x)
+            if not math.isfinite(v):
+                raise ContractViolation(f"the Gram matrix overflows a float at q = {q_value}")
+            return v
+
+        return self.map_entries(value)
 
 
 def gram(words: Sequence[Word]) -> GramMatrix:
@@ -250,8 +261,8 @@ def psd_report(
     if n == 0:
         raise ContractViolation("the PSD check needs a non-empty Gram matrix")
     refuse_above_cap(n)
-    if tolerance is not None and not tolerance > 0:
-        raise ContractViolation("tolerance must be positive")
+    if tolerance is not None and not 0 < tolerance < math.inf:
+        raise ContractViolation(f"tolerance must be positive and finite, got {tolerance}")
     x = _finite_q(q_value)
     # q^top by the repeated products of QPolynomial.evaluate
     top_power = 1.0

@@ -162,6 +162,26 @@ def test_gram_polynomial_matrix(capsys):
     assert out == "1\tq\nq\t1\n"
 
 
+@pytest.mark.parametrize("labels", ["a,b,c,d", "a,a,b,c"])
+def test_gram_formats_each_distinct_entry_once(monkeypatch, capsys, labels):
+    # gram shares one QPolynomial among the pairs of one label pattern;
+    # the exact printing formats that object once, not once per cell
+    g = fock.gram(fock.permutation_basis(fock.ModeLabel(x) for x in labels.split(",")))
+    want = "".join("\t".join(map(str, row)) + "\n" for row in g.entries)
+    formatted = []
+    to_text = fock.QPolynomial.__str__
+
+    def counted_str(poly):
+        formatted.append(id(poly))
+        return to_text(poly)
+
+    monkeypatch.setattr(fock.QPolynomial, "__str__", counted_str)
+    code, out, _ = run(capsys, "gram", "--labels", labels)
+    assert (code, out) == (0, want)
+    distinct = {id(entry) for row in g.entries for entry in row}
+    assert len(formatted) == len(set(formatted)) == len(distinct) < g.dimension**2
+
+
 def test_gram_psd_verdict(capsys):
     code, out, _ = run(capsys, "gram", "--labels", "a,b", "--q", "-1.0", "--check-psd")
     assert code == 0
@@ -278,8 +298,8 @@ def test_composite_contracts_each_product_once(monkeypatch, capsys, overlap, ful
     # the aligned and swapped products, plus the four-equal-tag product
     # under --overlap, whose cross term takes the one full contraction of
     # the 2n-operator states; the distinct-tag cross term is the aligned one.
-    # Only composites of equal tags are contracted: two per product, one
-    # under full overlap, and the normalization for the P^2 check
+    # Each product contracts the composite norm P once, and exchange_law
+    # contracts it once more for the P^2 check
     products = []
     word_lengths = []
     two_composite_scalar = composite.two_composite_scalar
@@ -303,7 +323,7 @@ def test_composite_contracts_each_product_once(monkeypatch, capsys, overlap, ful
     expected += [(("t", "t"), ("t", "t"))] * full
     assert sorted(products) == sorted(expected)
     assert word_lengths.count(8) == full
-    assert len(word_lengths) == 5 + 2 * full
+    assert len(word_lengths) == 3 + 2 * full
 
 
 def test_composite_overlap_past_its_cap_is_refused_before_the_law(monkeypatch, capsys):

@@ -24,6 +24,7 @@ from quonstat import (
     cross_term_magnitude,
     effective_exponent,
     exchange_law,
+    fock,
     inversion_number,
     normalization_poly,
     preset_rep,
@@ -165,6 +166,32 @@ def test_two_composite_repeated_tag_on_one_side(monkeypatch):
     monkeypatch.setattr(composite, "composite_word", no_state)
     with pytest.raises(CapExceeded, match=r"S_10 \(10! elements\); cap is 8"):
         two_composite_scalar(spec, ("t", "t"), ("t", "t"))
+
+
+@pytest.mark.parametrize(
+    "left_tags, right_tags, calls",
+    [
+        (("t1", "t2"), ("t1", "t2"), 1),  # aligned: the direct block passes
+        (("t1", "t2"), ("t2", "t1"), 1),  # swapped: the exchange block passes
+        (("t1", "t2"), ("u1", "u2"), 0),  # disjoint: no block passes
+        (("t1", "t2"), ("t1", "u2"), 0),  # half aligned: no block passes
+        (("t", "t"), ("t", "t"), 2),      # forced overlap: the norm and the full product
+    ],
+)
+def test_two_composite_contracts_the_norm_once(monkeypatch, left_tags, right_tags, calls):
+    spec = make_spec(3, random_rep(3, random.Random(7)))
+    want = split_buckets(spec, left_tags, right_tags)
+    contracted = []
+    contract_terms = fock.contract_terms
+
+    def counted(left, right):
+        contracted.append(1)
+        return contract_terms(left, right)
+
+    monkeypatch.setattr(fock, "contract_terms", counted)
+    got = two_composite_scalar(spec, left_tags, right_tags)
+    assert len(contracted) == calls
+    assert (got.direct, got.exchange, got.cross) == (want["direct"], want["exchange"], want["cross"])
 
 
 def test_single_constituent_examples():

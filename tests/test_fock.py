@@ -311,12 +311,14 @@ def test_check_psd_tolerance_validation():
 
 
 def test_a_nan_tolerance_is_refused():
-    # NaN compares false with 0 both ways; it must not turn a pass into fail
+    # NaN compares false with 0 both ways; it must not turn a pass into
+    # fail.  An infinite tolerance would pass every matrix
     g = gram(permutation_basis("abc"))
-    with pytest.raises(ContractViolation, match="tolerance must be positive"):
-        psd_report("abc", 0.5, tolerance=math.nan)
-    with pytest.raises(ContractViolation, match="tolerance must be positive"):
-        check_psd(g, 0.5, tolerance=math.nan)
+    for tolerance in (math.nan, math.inf):
+        with pytest.raises(ContractViolation, match="tolerance must be positive"):
+            psd_report("abc", 0.5, tolerance=tolerance)
+        with pytest.raises(ContractViolation, match="tolerance must be positive"):
+            check_psd(g, 0.5, tolerance=tolerance)
 
 
 def test_gram_refuses_more_than_720_words_at_once(monkeypatch):
