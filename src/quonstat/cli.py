@@ -54,8 +54,10 @@ def _parse_rep(raw: str, n: int) -> RepCoefficients:
             if "e" in parts[1].lower():
                 raise ValueError(f"coefficient {parts[1]!r} has an exponent")
             coeff = Fraction(parts[1])
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ParseError(f"{raw}:{lineno}: {exc}") from None
+        except ZeroDivisionError:
+            raise ParseError(f"{raw}:{lineno}: coefficient {parts[1]!r} has a zero denominator") from None
         arity = len(next(iter(coeffs), images))
         if len(images) != arity:
             raise ParseError(f"{raw}:{lineno}: {len(images)} images, earlier lines have {arity}")
@@ -120,11 +122,13 @@ def _cmd_gram(args) -> int:
         for row in g.map_entries(str):
             print("\t".join(row))
     else:
-        numeric = g.evaluate(args.q)
-        # a refused report must leave stdout empty
+        # each distinct entry is evaluated and formatted once, like the
+        # exact text; a refused evaluation or report must leave stdout empty
+        value = fock._entry_value(args.q)
+        rows = g.map_entries(lambda entry: f"{value(entry):.10g}")
         report = fock.psd_report(labels, args.q) if args.check_psd else None
-        for row in numeric:
-            print("\t".join(f"{value:.10g}" for value in row))
+        for row in rows:
+            print("\t".join(row))
         if args.check_psd:
             verdict = "pass" if report.passed else "fail"
             flag = "in_range" if report.q_in_range else "outside_range"

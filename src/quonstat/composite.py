@@ -20,13 +20,18 @@ coproduct on the Bozejko-Speicher pairing rule).  Labels pair only if
 their tags agree, and that one test decides every S.  The two whole
 left blocks are the direct and the exchange S.  A block pairs with a
 composite of its own tag as a composite pairs with itself, so each
-passing block's term is q^crossings * P * P for the composite norm P,
-contracted once per product; the exchange block's crossings are the n^2
-inversions of ``block_swap``.  A mixed S passes only when a side repeats
-a tag, so with distinct tags on both sides the cross term is zero;
-otherwise it is the full product less the two whole-block terms, one
-more engine call on the 2n-operator states.  That is work over S_2n,
-which the S_k cap of ``errors.refuse_above_cap`` refuses for n > 4.
+passing block's term is q^crossings * P * P for the composite norm P;
+the exchange block's crossings are the n^2 inversions of
+``block_swap``.  A mixed S passes only when a side repeats a tag, so
+with distinct tags on both sides the cross term is zero; otherwise it
+is the full product less the two whole-block terms, one more engine
+call on the 2n-operator states.  That is work over S_2n, which the S_k
+cap of ``errors.refuse_above_cap`` refuses for n > 4.
+
+P is one engine call per law: ``exchange_law`` contracts it once and
+feeds it to the split of both the aligned and the swapped product and
+to its direct = P^2 check, and ``two_composite_scalar`` contracts it
+once, only when a whole block passes.
 """
 
 from typing import Hashable, NamedTuple, Sequence
@@ -84,6 +89,46 @@ def block_swap(n: int) -> Permutation:
     return tuple(range(n + 1, 2 * n + 1)) + tuple(range(1, n + 1))
 
 
+def _norm(spec: CompositeSpec) -> QPolynomial:
+    """The composite norm P = <A|A> of one composite state."""
+    return normalization_poly(spec.rep, [ModeLabel(i) for i in spec.internal_labels])
+
+
+def _split(
+    spec: CompositeSpec,
+    left_tags: Sequence[Hashable],
+    right_tags: Sequence[Hashable],
+    norm: QPolynomial | None,
+) -> TwoCompositeResult:
+    # the q-shuffle split of ``two_composite_scalar``; a norm of None is
+    # contracted here, and only if a whole block passes the tag test
+    n = spec.n
+    (t1, t2), (u1, u2) = left_tags, right_tags
+    overlap = t1 == t2 or u1 == u2
+    if overlap:
+        # the full contraction of the 2n-operator states is work over S_2n
+        refuse_above_cap(2 * n)
+    # S is left block k: it pairs with u1 and the other block with u2, so
+    # it passes the tag test only if those blocks carry u1 and u2
+    passes = [(left_tags[k], left_tags[1 - k]) == (u1, u2) for k in (0, 1)]
+    zero = QPolynomial.zero()
+    direct = exchange = zero
+    if any(passes):
+        if norm is None:
+            norm = _norm(spec)
+        squared = norm * norm
+        crossings = (0, inversion_number(block_swap(n)))
+        direct, exchange = (
+            QPolynomial.monomial(c) * squared if ok else zero for c, ok in zip(crossings, passes)
+        )
+    cross = zero
+    if overlap:
+        left = tensor(composite_word(spec, t1), composite_word(spec, t2))
+        right = tensor(composite_word(spec, u1), composite_word(spec, u2))
+        cross = state_scalar_product(left, right) - direct - exchange
+    return TwoCompositeResult(direct=direct, exchange=exchange, cross=cross, n=n)
+
+
 def two_composite_scalar(
     spec: CompositeSpec,
     left_tags: Sequence[Hashable],
@@ -99,56 +144,36 @@ def two_composite_scalar(
     of the identity and of ``block_swap``.  A block paired with a
     composite of another tag gives zero, and one of its own tag gives
     the composite norm P, so a passing block's term is
-    q^crossings * P * P; P is contracted once, only if a block passes.
-    A mixed S passes only if a side repeats a tag.  With distinct tags
-    on both sides the cross component is zero; otherwise it is the full
-    product of the two tensor states less the whole-block terms.
+    q^crossings * P * P.  A mixed S passes only if a side repeats a tag.
+    With distinct tags on both sides the cross component is zero;
+    otherwise it is the full product of the two tensor states less the
+    whole-block terms.  Engine calls: one for P, made only if a whole
+    block passes, plus one for the full product if a side repeats a
+    tag; so 1 for aligned or swapped distinct tags, 0 when no block
+    passes, 2 under full overlap.
     """
-    n = spec.n
-    (t1, t2), (u1, u2) = left_tags, right_tags
-    overlap = t1 == t2 or u1 == u2
-    if overlap:
-        # the full contraction of the 2n-operator states is work over S_2n
-        refuse_above_cap(2 * n)
-    # S is left block k: it pairs with u1 and the other block with u2, so
-    # it passes the tag test only if those blocks carry u1 and u2
-    passes = [(left_tags[k], left_tags[1 - k]) == (u1, u2) for k in (0, 1)]
-    zero = QPolynomial.zero()
-    direct = exchange = zero
-    if any(passes):
-        norm = normalization_poly(spec.rep, [ModeLabel(i) for i in spec.internal_labels])
-        squared = norm * norm
-        crossings = (0, inversion_number(block_swap(n)))
-        direct, exchange = (
-            QPolynomial.monomial(c) * squared if ok else zero for c, ok in zip(crossings, passes)
-        )
-    cross = zero
-    if overlap:
-        left = tensor(composite_word(spec, t1), composite_word(spec, t2))
-        right = tensor(composite_word(spec, u1), composite_word(spec, u2))
-        cross = state_scalar_product(left, right) - direct - exchange
-    return TwoCompositeResult(direct=direct, exchange=exchange, cross=cross, n=n)
+    return _split(spec, left_tags, right_tags, None)
 
 
 def exchange_law(
     spec: CompositeSpec,
 ) -> tuple[TwoCompositeResult, TwoCompositeResult, int]:
-    """The aligned and swapped two-composite scalar products, each
-    computed once, and the verified exponent of the composite exchange
-    parameter.
+    """The aligned and swapped two-composite scalar products and the
+    verified exponent of the composite exchange parameter, from one
+    contraction of the composite norm P: one engine call in all.
 
     Asserts the exact identities direct = P^2 and exchange = q^(n^2) *
     direct, plus the n^2 crossing count of the order-preserving block
-    swap.  Any failure raises TheoremViolation.  The products come from
-    ``two_composite_scalar``, whose exchange crossings are those of
-    ``block_swap``; direct = P^2 checks where its split put the norm.
+    swap.  Any failure raises TheoremViolation.  Both products come from
+    the split of ``two_composite_scalar``, fed the one P; direct = P^2
+    checks which block the split let pass and with which power of q.
     """
     n = spec.n
     if inversion_number(block_swap(n)) != n * n:
         raise TheoremViolation(f"block swap of n={n} does not have n^2 inversions")
-    aligned = two_composite_scalar(spec, ("t1", "t2"), ("t1", "t2"))
-    swapped = two_composite_scalar(spec, ("t1", "t2"), ("t2", "t1"))
-    p = normalization_poly(spec.rep, [ModeLabel(i) for i in spec.internal_labels])
+    p = _norm(spec)
+    aligned = _split(spec, ("t1", "t2"), ("t1", "t2"), p)
+    swapped = _split(spec, ("t1", "t2"), ("t2", "t1"), p)
     zero = QPolynomial.zero()
     if aligned.direct != p * p:
         raise TheoremViolation("direct component does not equal the squared normalization polynomial")

@@ -151,15 +151,21 @@ class GramMatrix(NamedTuple):
         """The entries at q, as rows of Python floats, one Horner pass per
         distinct entry object (see ``map_entries``).  A non-finite q, or a
         q at which an entry overflows, is refused."""
-        x = _finite_q(q_value)
+        return self.map_entries(_entry_value(q_value))
 
-        def value(entry: QPolynomial) -> float:
-            v = entry.evaluate(x)
-            if not math.isfinite(v):
-                raise ContractViolation(f"the Gram matrix overflows a float at q = {q_value}")
-            return v
 
-        return self.map_entries(value)
+def _entry_value(q_value: float) -> Callable[[QPolynomial], float]:
+    """The value of one Gram entry at q, refusing a non-finite q at once
+    and an entry that overflows a float when it is evaluated."""
+    x = _finite_q(q_value)
+
+    def value(entry: QPolynomial) -> float:
+        v = entry.evaluate(x)
+        if not math.isfinite(v):
+            raise ContractViolation(f"the Gram matrix overflows a float at q = {q_value}")
+        return v
+
+    return value
 
 
 def gram(words: Sequence[Word]) -> GramMatrix:

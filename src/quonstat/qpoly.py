@@ -229,7 +229,10 @@ def parse(text: str) -> QPolynomial:
         m = re.match(_TERM_PATTERN, body)
         if not m or (m.group("coef") is None and m.group("var") is None):
             raise ParseError(f"bad polynomial term {chunk!r} in {text!r}")
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        try:
+            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in term {chunk!r} of {text!r}") from None
         if m.group("var") is None:
             power = 0
         elif m.group("exp") is None:

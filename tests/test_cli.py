@@ -122,6 +122,15 @@ def test_rep_file_coefficient_too_large_for_text_is_one_line_error(tmp_path, cap
     assert err.count("\n") == 1 and "too many digits" in err
 
 
+def test_rep_file_zero_denominator_is_one_line_parse_error(tmp_path, capsys):
+    path = tmp_path / "rep.tsv"
+    path.write_text("1,2\t1/0\n2,1\t1\n")
+    code, out, err = run(capsys, "norm", "--n", "2", "--rep", str(path))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "'1/0'" in err
+
+
 def test_non_utf8_input_files_are_parse_errors(tmp_path, capsys):
     path = tmp_path / "binary.tsv"
     path.write_bytes(b"\xff\xfe1\t1\n")
@@ -180,6 +189,30 @@ def test_gram_formats_each_distinct_entry_once(monkeypatch, capsys, labels):
     assert (code, out) == (0, want)
     distinct = {id(entry) for row in g.entries for entry in row}
     assert len(formatted) == len(set(formatted)) == len(distinct) < g.dimension**2
+
+
+@pytest.mark.parametrize("labels", ["a,b,c,d", "a,a,b,c"])
+def test_gram_q_formats_each_distinct_entry_once(monkeypatch, capsys, labels):
+    # the numeric rows share the distinct entries too: each is evaluated
+    # and formatted once, and the text is that of formatting every cell
+    g = fock.gram(fock.permutation_basis(fock.ModeLabel(x) for x in labels.split(",")))
+    want = "".join("\t".join(f"{v:.10g}" for v in row) + "\n" for row in g.evaluate(0.5))
+    formatted = []
+    evaluate = fock.QPolynomial.evaluate
+
+    class CountedFloat(float):
+        def __format__(self, spec):
+            formatted.append(self)
+            return float.__format__(self, spec)
+
+    def counted_evaluate(poly, x):
+        return CountedFloat(evaluate(poly, x))
+
+    monkeypatch.setattr(fock.QPolynomial, "evaluate", counted_evaluate)
+    code, out, _ = run(capsys, "gram", "--labels", labels, "--q", "0.5")
+    assert (code, out) == (0, want)
+    distinct = {id(entry) for row in g.entries for entry in row}
+    assert len(formatted) == len(distinct) < g.dimension**2
 
 
 def test_gram_psd_verdict(capsys):
@@ -298,23 +331,23 @@ def test_composite_contracts_each_product_once(monkeypatch, capsys, overlap, ful
     # the aligned and swapped products, plus the four-equal-tag product
     # under --overlap, whose cross term takes the one full contraction of
     # the 2n-operator states; the distinct-tag cross term is the aligned one.
-    # Each product contracts the composite norm P once, and exchange_law
-    # contracts it once more for the P^2 check
+    # exchange_law contracts the composite norm P once for both of its
+    # products and its P^2 check; the overlap product contracts its own P
     products = []
     word_lengths = []
-    two_composite_scalar = composite.two_composite_scalar
+    split = composite._split
     contract_terms = fock.contract_terms
 
-    def counted_products(spec, left_tags, right_tags):
+    def counted_products(spec, left_tags, right_tags, norm):
         products.append((left_tags, right_tags))
-        return two_composite_scalar(spec, left_tags, right_tags)
+        return split(spec, left_tags, right_tags, norm)
 
     def counted_contractions(left, right):
         left = list(left)
         word_lengths.append(len(left[0][0]) if left else 0)
         return contract_terms(left, right)
 
-    monkeypatch.setattr(composite, "two_composite_scalar", counted_products)
+    monkeypatch.setattr(composite, "_split", counted_products)
     monkeypatch.setattr(fock, "contract_terms", counted_contractions)
     code, out, _ = run(capsys, "composite", "--n", "4", "--rep", "sym", *overlap)
     assert code == 0
@@ -323,7 +356,7 @@ def test_composite_contracts_each_product_once(monkeypatch, capsys, overlap, ful
     expected += [(("t", "t"), ("t", "t"))] * full
     assert sorted(products) == sorted(expected)
     assert word_lengths.count(8) == full
-    assert len(word_lengths) == 3 + 2 * full
+    assert len(word_lengths) == 1 + 2 * full
 
 
 def test_composite_overlap_past_its_cap_is_refused_before_the_law(monkeypatch, capsys):

@@ -355,6 +355,29 @@ def test_exchange_law_returns_the_products_it_verified():
     assert exponent == effective_exponent(spec) == 9
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("rep", ["symmetric", "antisymmetric", "random"])
+def test_exchange_law_contracts_the_norm_once(monkeypatch, n, rep):
+    # one P feeds the aligned split, the swapped split and the P^2 check
+    spec = make_spec(n, random_rep(n, random.Random(n)) if rep == "random" else preset_rep(n, rep))
+    p = normalization_poly(spec.rep, [ModeLabel(i) for i in spec.internal_labels])
+    contracted = []
+    contract_terms = fock.contract_terms
+
+    def counted(left, right):
+        contracted.append(1)
+        return contract_terms(left, right)
+
+    monkeypatch.setattr(fock, "contract_terms", counted)
+    aligned, swapped, exponent = exchange_law(spec)
+    assert len(contracted) == 1
+    assert (aligned.direct, swapped.exchange, exponent) == (
+        p * p,
+        QPolynomial.monomial(n * n) * p * p,
+        n * n,
+    )
+
+
 def test_effective_exponent_random_rep():
     rng = random.Random(123)
     assert effective_exponent(make_spec(3, random_rep(3, rng))) == 9

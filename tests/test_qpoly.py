@@ -96,7 +96,7 @@ def test_parse_examples():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "q^", "1 +", "x + 1", "q^-2"):
+    for bad in ("", "q^", "1 +", "x + 1", "q^-2", "1/0", "1/0*q"):
         with pytest.raises(ParseError):
             parse_polynomial(bad)
 
