@@ -64,8 +64,19 @@ def _squared(n: int) -> int:
     return n_sq
 
 
+def _nonzero(epsilon: float, epsilon_composite: float, n_sq: int) -> float:
+    """``epsilon`` propagated from a positive ``epsilon_composite``, refused
+    if it underflowed to zero: zero would read as exact statistics."""
+    if epsilon == 0.0:
+        raise ContractViolation(
+            f"epsilon {epsilon_composite:g} over n^2 = {n_sq:.3e} underflows a float to zero"
+        )
+    return epsilon
+
+
 def propagate_first_order(epsilon_composite: float, n: int) -> float:
-    """Constituent deviation at first order: epsilon / n^2."""
+    """Constituent deviation at first order: epsilon / n^2.  A result that
+    underflows to zero is refused."""
     n_sq = _squared(n)
     if not (math.isfinite(epsilon_composite) and epsilon_composite > 0):
         raise ContractViolation("epsilon must be positive and finite")
@@ -75,7 +86,7 @@ def propagate_first_order(epsilon_composite: float, n: int) -> float:
             "only honest for small deviations",
             stacklevel=2,
         )
-    return epsilon_composite / n_sq
+    return _nonzero(epsilon_composite / n_sq, epsilon_composite, n_sq)
 
 
 def propagate_exact(epsilon_composite: float, n: int) -> float:
@@ -83,7 +94,7 @@ def propagate_exact(epsilon_composite: float, n: int) -> float:
 
     Agrees with the first-order rule to O(eps^2).  For eps > 1 the
     composite parameter is negative, which has a real constituent root
-    only when n is odd.
+    only when n is odd.  A result that underflows to zero is refused.
     """
     n_sq = _squared(n)
     if not 0 < epsilon_composite < 2:
@@ -92,7 +103,9 @@ def propagate_exact(epsilon_composite: float, n: int) -> float:
         return 1.0
     if epsilon_composite < 1:
         # 1 - (1-eps)^(1/n^2), formulated to keep full relative precision
-        return -math.expm1(math.log1p(-epsilon_composite) / n_sq)
+        return _nonzero(
+            -math.expm1(math.log1p(-epsilon_composite) / n_sq), epsilon_composite, n_sq
+        )
     if n % 2 == 0:
         raise ContractViolation(
             "epsilon > 1 means a negative composite parameter, which has no "

@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import bounds as bounds_mod
 from . import composite as composite_mod
 from . import fock, wick
-from .errors import ContractViolation, ParseError, QuonError, read_text
+from .errors import ContractViolation, ParseError, QuonError, read_text, refuse_above_cap
 from .permutations import RepCoefficients, preset_rep
 from .wick import ModeLabel
 
@@ -148,13 +148,21 @@ def _cmd_composite(args) -> int:
     spec = composite_mod.CompositeSpec(
         n=args.n, internal_labels=tuple(range(1, args.n + 1)), rep=rep
     )
-    # the overlap term first: past its cap it is refused before the law runs
-    overlap = composite_mod.cross_term_magnitude(spec, shared_tags=True) if args.overlap else None
+    # past its cap the overlap product is refused before any contraction
+    if args.overlap:
+        refuse_above_cap(2 * args.n)
     aligned, swapped, exponent = composite_mod.exchange_law(spec)
+    if args.overlap:
+        # the product of four equal tags, fed the law's P^2 (its direct
+        # term), so only the full product is contracted
+        tags = ("t", "t")
+        cross = composite_mod._split(spec, tags, tags, aligned.direct).cross
+    else:
+        # the aligned cross term, which exchange_law checked to be zero
+        cross = aligned.cross
     print(f"direct\t{aligned.direct}")
     print(f"exchange\t{swapped.exchange}")
-    # without --overlap, the aligned cross term, which exchange_law checked to be zero
-    print(f"cross\t{aligned.cross if overlap is None else overlap}")
+    print(f"cross\t{cross}")
     print(f"exponent\t{exponent}")
     return 0
 

@@ -29,9 +29,11 @@ call on the 2n-operator states.  That is work over S_2n, which the S_k
 cap of ``errors.refuse_above_cap`` refuses for n > 4.
 
 P is one engine call per law: ``exchange_law`` contracts it once and
-feeds it to the split of both the aligned and the swapped product and
+feeds P^2 to the split of both the aligned and the swapped product and
 to its direct = P^2 check, and ``two_composite_scalar`` contracts it
-once, only when a whole block passes.
+once, only when a whole block passes.  ``quonstat composite --overlap``
+feeds the law's P^2 to the product of four equal tags, so it makes two
+engine calls: P and the full product.
 """
 
 from typing import Hashable, NamedTuple, Sequence
@@ -98,10 +100,11 @@ def _split(
     spec: CompositeSpec,
     left_tags: Sequence[Hashable],
     right_tags: Sequence[Hashable],
-    norm: QPolynomial | None,
+    squared_norm: QPolynomial | None,
 ) -> TwoCompositeResult:
-    # the q-shuffle split of ``two_composite_scalar``; a norm of None is
-    # contracted here, and only if a whole block passes the tag test
+    # the q-shuffle split of ``two_composite_scalar``, given P^2 for the
+    # composite norm P; None contracts P here, and only if a whole block
+    # passes the tag test
     n = spec.n
     (t1, t2), (u1, u2) = left_tags, right_tags
     overlap = t1 == t2 or u1 == u2
@@ -114,12 +117,13 @@ def _split(
     zero = QPolynomial.zero()
     direct = exchange = zero
     if any(passes):
-        if norm is None:
+        if squared_norm is None:
             norm = _norm(spec)
-        squared = norm * norm
+            squared_norm = norm * norm
         crossings = (0, inversion_number(block_swap(n)))
         direct, exchange = (
-            QPolynomial.monomial(c) * squared if ok else zero for c, ok in zip(crossings, passes)
+            QPolynomial.monomial(c) * squared_norm if ok else zero
+            for c, ok in zip(crossings, passes)
         )
     cross = zero
     if overlap:
@@ -172,10 +176,11 @@ def exchange_law(
     if inversion_number(block_swap(n)) != n * n:
         raise TheoremViolation(f"block swap of n={n} does not have n^2 inversions")
     p = _norm(spec)
-    aligned = _split(spec, ("t1", "t2"), ("t1", "t2"), p)
-    swapped = _split(spec, ("t1", "t2"), ("t2", "t1"), p)
+    squared = p * p
+    aligned = _split(spec, ("t1", "t2"), ("t1", "t2"), squared)
+    swapped = _split(spec, ("t1", "t2"), ("t2", "t1"), squared)
     zero = QPolynomial.zero()
-    if aligned.direct != p * p:
+    if aligned.direct != squared:
         raise TheoremViolation("direct component does not equal the squared normalization polynomial")
     if (aligned.exchange, aligned.cross) != (zero, zero):
         raise TheoremViolation("aligned tags produced non-direct components")

@@ -34,6 +34,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 from .errors import GRAM_CAP, CapExceeded, ContractViolation, UnsupportedError, refuse_above_cap
 from .permutations import (
     RepCoefficients,
+    _exact,
     all_permutations,
     character_table,
     cycle_type,
@@ -50,12 +51,14 @@ from .wick import ModeLabel, Word, contract_terms, scalar_product
 
 class StateVector(Record):
     """Linear combination of equal-length operator words; zero
-    coefficients are never stored."""
+    coefficients are never stored.  Each coefficient is exact and stored
+    by ``permutations._exact``: an int when it is integral, a Fraction
+    otherwise, so states of integer reps hold only ints."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Word, Fraction]):
-        cleaned = {}
+    def __init__(self, terms: Mapping[Word, int | Fraction]):
+        cleaned: dict[Word, int | Fraction] = {}
         length = None
         for w, c in terms.items():
             w = tuple(w)
@@ -63,10 +66,9 @@ class StateVector(Record):
                 length = len(w)
             elif len(w) != length:
                 raise ContractViolation("all words in a StateVector must have equal length")
-            c = Fraction(c)
-            if c:
-                cleaned[w] = cleaned.get(w, Fraction(0)) + c
-        self._set({w: c for w, c in cleaned.items() if c})
+            cleaned[w] = cleaned.get(w, 0) + _exact(c)
+        # a sum of Fractions can be integral
+        self._set({w: _exact(c) for w, c in cleaned.items() if c})
 
     def word_length(self) -> int:
         for w in self.terms:
@@ -76,26 +78,27 @@ class StateVector(Record):
 
 def build_state(labels: Sequence[ModeLabel], rep: RepCoefficients) -> StateVector:
     """Representation-weighted combination: the word permuted by P enters
-    with coefficient c(P), for every P with a nonzero coefficient."""
+    with coefficient c(P), for every P with a nonzero coefficient; the
+    coefficients keep the rep's form, int where integral."""
     labels = tuple(labels)
     if len(labels) != rep.n:
         raise ContractViolation(
             f"got {len(labels)} labels for a rep over S_{rep.n}"
         )
-    terms: dict[Word, Fraction] = {}
+    terms: dict[Word, int | Fraction] = {}
     for p, c in rep.coeffs.items():
         permuted = tuple(labels[i - 1] for i in p)
-        terms[permuted] = terms.get(permuted, Fraction(0)) + c
+        terms[permuted] = terms.get(permuted, 0) + c
     return StateVector(terms)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Concatenation product: words concatenate, coefficients multiply."""
-    terms: dict[Word, Fraction] = {}
+    terms: dict[Word, int | Fraction] = {}
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
             w = wa + wb
-            terms[w] = terms.get(w, Fraction(0)) + ca * cb
+            terms[w] = terms.get(w, 0) + ca * cb
     return StateVector(terms)
 
 

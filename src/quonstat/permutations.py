@@ -54,7 +54,8 @@ def inversion_number(p: Permutation) -> int:
 
 
 def sign(p: Permutation) -> int:
-    return -1 if inversion_number(p) % 2 else 1
+    """(-1)^(n - number of cycles), which equals (-1)^inversion_number(p)."""
+    return -1 if (len(p) - len(cycle_type(p))) % 2 else 1
 
 
 def compose(p: Permutation, s: Permutation) -> Permutation:
@@ -98,13 +99,26 @@ def all_permutations(n: int) -> Iterator[Permutation]:
     return _itertools_permutations(range(1, n + 1))
 
 
+def _exact(value) -> int | Fraction:
+    """``value`` as an exact coefficient in canonical form: an int when it
+    is integral, a Fraction otherwise.  The two compare and hash alike, so
+    either form works as a key or in an equality test."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 class RepCoefficients(Record):
     """Coefficients c(P) selecting a symmetric-group representation
-    combination; kept unnormalized, the state normalization absorbs scale."""
+    combination; kept unnormalized, the state normalization absorbs scale.
+
+    Each coefficient is exact and stored by ``_exact``: an int when it is
+    integral, as in the presets, and a Fraction otherwise."""
 
     __slots__ = ("n", "coeffs", "label")
 
-    def __init__(self, n: int, coeffs: Mapping[Permutation, Fraction], label: str = ""):
+    def __init__(self, n: int, coeffs: Mapping[Permutation, int | Fraction], label: str = ""):
         if n < 1:
             raise ContractViolation("RepCoefficients.n must be >= 1")
         cleaned = {}
@@ -114,25 +128,24 @@ class RepCoefficients(Record):
                 raise ContractViolation(
                     f"permutation {p!r} has wrong arity for n={n}"
                 )
-            c = Fraction(c)
+            c = _exact(c)
             if c:
                 cleaned[p] = c
         if not cleaned:
             raise ContractViolation("RepCoefficients needs at least one nonzero entry")
         self._set(n, cleaned, label)
 
-    def coefficient(self, p: Permutation) -> Fraction:
-        return self.coeffs.get(tuple(p), Fraction(0))
+    def coefficient(self, p: Permutation) -> int | Fraction:
+        return self.coeffs.get(tuple(p), 0)
 
 
 def preset_rep(n: int, kind: str) -> RepCoefficients:
     """The two presets used throughout: 'symmetric' (c(P) = 1) and
-    'antisymmetric' (c(P) = (-1)^{i(P)})."""
+    'antisymmetric' (c(P) = (-1)^{i(P)}, taken from the cycle count by
+    ``sign``), with int coefficients."""
     if kind not in ("symmetric", "antisymmetric"):
         raise ContractViolation(f"unknown preset {kind!r}")
-    coeffs = {}
-    for p in all_permutations(n):
-        coeffs[p] = Fraction(1 if kind == "symmetric" else sign(p))
+    coeffs = {p: 1 if kind == "symmetric" else sign(p) for p in all_permutations(n)}
     return RepCoefficients(n=n, coeffs=coeffs, label=kind)
 
 
@@ -144,7 +157,7 @@ def random_rep(n: int, rng: "random.Random", coeff_bound: int = 3) -> RepCoeffic
         for p in all_permutations(n):
             c = rng.randint(-coeff_bound, coeff_bound)
             if c:
-                coeffs[p] = Fraction(c)
+                coeffs[p] = c
         if coeffs:
             return RepCoefficients(n=n, coeffs=coeffs, label="random")
 

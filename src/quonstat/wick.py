@@ -62,7 +62,10 @@ def delta_matrix(left: Sequence[ModeLabel], right: Sequence[ModeLabel]) -> list[
 
 def _clear_denominators(values: Iterable) -> tuple[list[int], int]:
     """Integers proportional to ``values`` and the common denominator
-    they were multiplied by."""
+    they were multiplied by; integers are returned as they are."""
+    values = list(values)
+    if all(type(v) is int for v in values):
+        return values, 1
     values = [v if isinstance(v, int) else Fraction(v) for v in values]
     scale = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale
@@ -175,7 +178,8 @@ def contract_terms(left: Iterable, right: Iterable) -> QPolynomial:
     """Scalar product of two linear combinations of words by the quon
     annihilator action.
 
-    ``left`` and ``right`` are (word, rational coefficient) pairs; all
+    ``left`` and ``right`` are (word, coefficient) pairs, each
+    coefficient an int or a Fraction; all
     words of one side have one length, and words of different lengths
     contract to zero.  Reading the left word from its first letter, each
     letter k applies a(k) (w_1...w_m) = sum_j q^(j-1) delta(k, w_j)
@@ -189,10 +193,13 @@ def contract_terms(left: Iterable, right: Iterable) -> QPolynomial:
     cost is therefore about the number of trie nodes times the support at
     their depth, instead of |left| * |right| word pairs.
 
-    Coefficients are cleared to integers, and every polynomial is one
-    integer with a signed field of fixed width per power of q; no field
-    can exceed m! * sum|left| * sum|right|, the number of pairings times
-    the coefficient mass.
+    Integer coefficients are used as they are, and a side with a
+    Fraction coefficient is cleared to integers over one common
+    denominator.  Every polynomial is one integer with a signed field of
+    fixed width per power of q; no field can exceed
+    m! * sum|left| * sum|right|, the number of pairings times the
+    coefficient mass.  Each trie node fills the residual states of all
+    its child letters in one pass over its own state.
     """
     left, right = list(left), list(right)
     if not left or not right or len(left[0][0]) != len(right[0][0]):
@@ -221,17 +228,17 @@ def contract_terms(left: Iterable, right: Iterable) -> QPolynomial:
     def descend(node, depth, state):
         if depth == m:
             return node[None] * state[()]
-        total = 0
-        for k, child in node.items():
-            nxt: dict = {}
-            for residual, value in state.items():
-                for j, letter in enumerate(residual):
-                    if letter != k:
-                        continue
+        children = {k: {} for k in node}
+        for residual, value in state.items():
+            for j, letter in enumerate(residual):
+                nxt = children.get(letter)
+                if nxt is not None:
                     key = residual[:j] + residual[j + 1:]
                     nxt[key] = nxt.get(key, 0) + (value << j * width)
+        total = 0
+        for k, nxt in children.items():
             if nxt:
-                total += descend(child, depth + 1, nxt)
+                total += descend(node[k], depth + 1, nxt)
         return total
 
     return _unpack(descend(trie, 0, state), width, left_scale * right_scale)

@@ -107,6 +107,18 @@ def test_counts_whose_square_overflows_a_float_are_refused():
         derive_chain(records, [("O16", 1), ("nucleon", 10**155)])
 
 
+def test_a_bound_that_underflows_to_zero_is_refused():
+    # zero would read as exact statistics
+    for propagate in (propagate_first_order, propagate_exact):
+        with pytest.raises(ContractViolation, match="underflows a float to zero"):
+            propagate(1e-300, 10**20)
+    records = load_bundled_limits()
+    with pytest.raises(ContractViolation, match="underflows a float to zero"):
+        derive_chain(records, [("O16", 1), ("nucleon", 16), ("preon", 10**100), ("sub", 10**100)])
+    # a subnormal bound is still a bound
+    assert 0 < propagate_first_order(1e-300, 10**10) < 1e-319
+
+
 def test_bound_record_invariants():
     with pytest.raises(ContractViolation):
         BoundRecord("x", "y", 0, 1e-9, "near_bose", "src")

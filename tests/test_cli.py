@@ -332,7 +332,7 @@ def test_composite_contracts_each_product_once(monkeypatch, capsys, overlap, ful
     # under --overlap, whose cross term takes the one full contraction of
     # the 2n-operator states; the distinct-tag cross term is the aligned one.
     # exchange_law contracts the composite norm P once for both of its
-    # products and its P^2 check; the overlap product contracts its own P
+    # products and its P^2 check, and the overlap product reuses the law's P
     products = []
     word_lengths = []
     split = composite._split
@@ -356,7 +356,7 @@ def test_composite_contracts_each_product_once(monkeypatch, capsys, overlap, ful
     expected += [(("t", "t"), ("t", "t"))] * full
     assert sorted(products) == sorted(expected)
     assert word_lengths.count(8) == full
-    assert len(word_lengths) == 1 + 2 * full
+    assert len(word_lengths) == 1 + full
 
 
 def test_composite_overlap_past_its_cap_is_refused_before_the_law(monkeypatch, capsys):
@@ -378,6 +378,23 @@ def test_composite_one_term_rep_at_n10(tmp_path, capsys):
     assert out.splitlines()[-2:] == ["cross\t0", "exponent\t100"]
 
 
+def test_rep_file_of_mixed_coefficients_prints_the_same_polynomials(tmp_path, capsys):
+    # integers, a signed integer, a fraction and an integral fraction
+    path = tmp_path / "mixed.tsv"
+    path.write_text("1,2,3\t3\n2,1,3\t+2\n1,3,2\t-1/2\n3,2,1\t4/2\n")
+    code, out, _ = run(capsys, "norm", "--n", "3", "--rep", str(path))
+    assert (code, out) == (0, "69/4 + 9*q + 4*q^2 + 12*q^3\n")
+    code, out, _ = run(capsys, "composite", "--n", "3", "--rep", str(path))
+    assert (code, out) == (
+        0,
+        "direct\t4761/16 + 621/2*q + 219*q^2 + 486*q^3 + 232*q^4 + 96*q^5 + 144*q^6\n"
+        "exchange\t4761/16*q^9 + 621/2*q^10 + 219*q^11 + 486*q^12 + 232*q^13 + 96*q^14"
+        " + 144*q^15\n"
+        "cross\t0\n"
+        "exponent\t9\n",
+    )
+
+
 def test_weo(capsys):
     assert run(capsys, "weo", "--n", "2", "--q", "-1")[1] == "boson\n"
     assert run(capsys, "weo", "--n", "7", "--q", "-1")[1] == "fermion\n"
@@ -388,6 +405,25 @@ def test_bounds_propagate(capsys):
     code, out, _ = run(capsys, "bounds", "propagate", "--epsilon", "5e-9", "--n", "16")
     assert code == 0
     assert out == "1.953e-11\n"
+
+
+@pytest.mark.parametrize("exact", [(), ("--exact",)], ids=["first_order", "exact"])
+def test_bounds_propagate_refuses_an_underflow_to_zero(capsys, exact):
+    code, out, err = run(
+        capsys, "bounds", "propagate", "--epsilon", "1e-300", "--n", str(10**20), *exact
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "underflows" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_bounds_chain_refuses_an_underflow_to_zero(capsys):
+    n = 10**100
+    path = f"O16,nucleon:16,quark:3,preon:{n},sub:{n}"
+    code, out, err = run(capsys, "bounds", "chain", "--path", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "underflows" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_bounds_propagate_exact(capsys):

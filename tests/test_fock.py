@@ -16,6 +16,7 @@ from quonstat import (
     GramMatrix,
     ModeLabel,
     QPolynomial,
+    RepCoefficients,
     StateVector,
     UnsupportedError,
     all_permutations,
@@ -113,6 +114,42 @@ def test_tensor_concatenates():
     s2 = StateVector({(C,): Fraction(2)})
     prod = tensor(s1, s2)
     assert prod.terms == {(A, B, C): 2, (B, A, C): -2}
+
+
+def test_states_hold_ints_where_integral():
+    state = build_state((A, B, C), preset_rep(3, "antisymmetric"))
+    assert {type(c) for c in state.terms.values()} == {int}
+    assert state == StateVector({w: Fraction(c) for w, c in state.terms.items()})
+    for c in state.terms.values():
+        assert hash(c) == hash(Fraction(c))
+    mixed = StateVector({(A, B): Fraction(6, 3), (B, A): Fraction(1, 2), (A, A): Fraction(1, 2)})
+    assert mixed.terms == {(A, B): 2, (B, A): Fraction(1, 2), (A, A): Fraction(1, 2)}
+    assert type(mixed.terms[(A, B)]) is int and type(mixed.terms[(B, A)]) is Fraction
+    # a sum of Fractions that is integral is stored as an int
+    halves = RepCoefficients(2, {(1, 2): Fraction(1, 2), (2, 1): Fraction(3, 2)})
+    halves = build_state((A, A), halves)
+    assert halves.terms == {(A, A): 2} and type(halves.terms[(A, A)]) is int
+    prod = tensor(mixed, StateVector({(C,): Fraction(4, 2)}))
+    assert prod.terms == {(A, B, C): 4, (B, A, C): 1, (A, A, C): 1}
+    assert {type(c) for c in prod.terms.values()} == {int}
+    assert type(tensor(mixed, StateVector({(C,): 3})).terms[(B, A, C)]) is Fraction
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "antisymmetric"])
+def test_normalization_poly_contracts_int_coefficients(monkeypatch, kind):
+    seen = []
+    contract_terms = fock.contract_terms
+
+    def spy(left, right):
+        left, right = list(left), list(right)
+        seen.extend(type(c) for _, c in left + right)
+        return contract_terms(left, right)
+
+    monkeypatch.setattr(fock, "contract_terms", spy)
+    assert normalization_poly(preset_rep(4, kind), labels(4)) == (
+        q_factorial(4) if kind == "symmetric" else signed_q_factorial(4)
+    ) * 24
+    assert len(seen) == 2 * 24 and set(seen) == {int}
 
 
 def test_normalization_poly_examples():

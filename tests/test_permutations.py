@@ -120,6 +120,35 @@ def test_sign_is_homomorphism_exhaustive():
                 assert sign(compose(p, s)) == sign(p) * sign(s)
 
 
+def test_sign_by_cycle_count_is_the_inversion_parity():
+    for n in range(1, 8):
+        for p in all_permutations(n):
+            assert sign(p) == (-1) ** inversion_number(p)
+
+
+def exact_forms(values):
+    """Each value's type, with an equal Fraction comparing and hashing alike."""
+    for c in values:
+        assert c == Fraction(c) and hash(c) == hash(Fraction(c))
+    return {type(c) for c in values}
+
+
+def test_rep_coefficients_hold_ints_where_integral():
+    for n in (1, 3, 5):
+        for kind in ("symmetric", "antisymmetric"):
+            rep = preset_rep(n, kind)
+            assert exact_forms(rep.coeffs.values()) == {int}
+            as_fractions = {p: Fraction(c) for p, c in rep.coeffs.items()}
+            assert rep == RepCoefficients(n, as_fractions, kind)
+    assert exact_forms(random_rep(3, random.Random(5)).coeffs.values()) == {int}
+    rep = RepCoefficients(2, {(1, 2): Fraction(6, 3), (2, 1): Fraction(-1, 2)})
+    assert rep.coeffs == {(1, 2): 2, (2, 1): Fraction(-1, 2)}
+    assert type(rep.coeffs[(1, 2)]) is int and type(rep.coeffs[(2, 1)]) is Fraction
+    assert rep == RepCoefficients(2, {(1, 2): 2, (2, 1): Fraction(-1, 2)})
+    assert rep.coefficient((1, 2)) == 2
+    assert RepCoefficients(2, {(1, 2): 1}).coefficient((2, 1)) == 0
+
+
 def test_character_table_dimensions():
     t2 = character_table(2)
     assert sorted(dim for _, dim, _ in t2.irreps) == [1, 1]
