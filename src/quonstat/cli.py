@@ -88,6 +88,8 @@ def _parse_matrix(path: str) -> list[list[int]]:
             raise ParseError(f"{path}:{lineno}: entries must be integers") from None
         if any(x not in (0, 1) for x in row):
             raise ParseError(f"{path}:{lineno}: matrix entries must be 0 or 1")
+        if rows and len(row) != len(rows[0]):
+            raise ParseError(f"{path}:{lineno}: {len(row)} entries, earlier rows have {len(rows[0])}")
         rows.append(row)
     if not rows:
         raise ParseError(f"{path}: empty matrix")

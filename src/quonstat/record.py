@@ -31,7 +31,10 @@ class Record:
         return self._values() == other._values()
 
     def __hash__(self):
-        return hash(self._values())
+        # a dict field hashes by its items, as it compares
+        return hash(
+            tuple(frozenset(v.items()) if isinstance(v, dict) else v for v in self._values())
+        )
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

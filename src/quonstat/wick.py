@@ -19,10 +19,12 @@ Two independent evaluation paths are provided on purpose:
   engine.
 
 ``q_permanent`` evaluates the same weighted sum for an arbitrary square
-matrix by a dynamic program over subsets of used columns, with
-O(2^n * n) steps.  The engine and the DP hold each polynomial as one
-integer with a fixed-width signed field per coefficient (Kronecker
-substitution), so a shift by q^j is one ``<<`` and a merge one ``+``.
+matrix by a dynamic program over subsets of used columns, with at most
+O(2^n * n) steps: a flat list holds one slot per column mask, and each
+row visits only the masks the previous row reached.  The engine and the
+DP hold each polynomial as one integer with a fixed-width signed field
+per coefficient (Kronecker substitution), so a shift by q^j is one
+``<<`` and a merge one ``+``.
 
 All paths return exact `QPolynomial` values and must agree identically.
 """
@@ -100,6 +102,14 @@ def q_permanent(matrix: Sequence[Sequence]) -> QPolynomial:
     inversion number of the full bijection.  Each row is scaled to
     integers, so every state is a packed integer whose fields are bounded
     by n! times the product of the largest row entries.
+
+    The states live in a flat list of 2^n slots indexed by the column
+    mask.  A row walks a frontier, the masks the previous row reached: a
+    mask joins the next frontier when its slot turns nonzero, and a slot
+    is reset to 0 once pushed, so only two rows' states are live.  Free
+    columns are taken highest first, so the number of used columns above
+    the target only grows; the source is shifted once per distinct count,
+    not once per target.
     """
     n = len(matrix)
     for row in matrix:
@@ -120,28 +130,42 @@ def q_permanent(matrix: Sequence[Sequence]) -> QPolynomial:
     bound = math.factorial(n)
     for row in matrix:
         entries, scale = _clear_denominators(row)
-        rows.append([(j, 1 << j, e) for j, e in enumerate(entries) if e])
+        # highest column first, so the used columns above a target only grow
+        rows.append([(j + 1, 1 << j, entries[j]) for j in reversed(range(n)) if entries[j]])
         denominator *= scale
         bound *= max(map(abs, entries))
     width = _field_width(bound)
 
-    level = {0: 1}
+    slots = [0] * (1 << n)
+    slots[0] = 1
+    frontier = [0]
     for columns in rows:
-        nxt: dict[int, int] = {}
-        for mask, value in level.items():
-            for j, bit, entry in columns:
+        reached = []
+        for mask in frontier:
+            value = slots[mask]
+            # a slot that cancelled to zero, or that was listed again
+            # after cancelling and being reached anew, has nothing to push
+            if not value:
+                continue
+            slots[mask] = 0
+            rank = 0
+            shifted = value
+            for above, bit, entry in columns:
                 if mask & bit:
                     continue
-                term = (value if entry == 1 else value * entry) << (
-                    (mask >> (j + 1)).bit_count() * width
-                )
+                used = (mask >> above).bit_count()
+                if used != rank:
+                    rank = used
+                    shifted = value << rank * width
                 target = mask | bit
-                nxt[target] = nxt.get(target, 0) + term
-        level = nxt
-        if not level:
+                old = slots[target]
+                if not old:
+                    reached.append(target)
+                slots[target] = old + (shifted if entry == 1 else shifted * entry)
+        if not reached:
             return QPolynomial.zero()
-    (value,) = level.values()
-    return _unpack(value, width, denominator)
+        frontier = reached
+    return _unpack(slots[-1], width, denominator)
 
 
 def oracle_q_permanent(matrix: Sequence[Sequence]) -> QPolynomial:

@@ -7,7 +7,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from quonstat import (
+    CapExceeded,
     CharacterTable,
+    ContractViolation,
     ModeLabel,
     QPolynomial,
     RepCoefficients,
@@ -19,6 +21,8 @@ from quonstat import (
     normalization_poly,
     q_permanent,
 )
+from quonstat.errors import Q_PERMANENT_CAP
+from quonstat.wick import _clear_denominators, _field_width, _unpack
 
 # The character tables of S_2..S_4 as they were once bundled with the
 # package, typed from the textbook tables: (cycle type, class size) per
@@ -266,3 +270,59 @@ def shuffle_split_scalar(
     for (h, crossings, on_s), off in groups.items():
         hits[h] = hits[h] + QPolynomial.monomial(crossings) * first_memo[on_s] * off
     return hits
+
+
+def level_dp_q_permanent(matrix) -> QPolynomial:
+    """Reference for ``q_permanent`` past the brute-force cap: the subset
+    DP with one dict of column masks per row, as ``q_permanent`` once ran
+    it.  It shares only the packing helpers of ``quonstat.wick``, which
+    the brute-force oracle checks at n <= 8.
+
+    Subset dynamic program: rows are processed in order; a state is the
+    set of used columns.  Assigning column j at row i adds one inversion
+    for every already-used column greater than j, which reconstructs the
+    inversion number of the full bijection.  Each row is scaled to
+    integers, so every state is a packed integer whose fields are bounded
+    by n! times the product of the largest row entries.
+    """
+    n = len(matrix)
+    for row in matrix:
+        if len(row) != n:
+            raise ContractViolation("q_permanent requires a square matrix")
+    if n == 0:
+        return QPolynomial.one()
+    if n > Q_PERMANENT_CAP:
+        raise CapExceeded(f"q_permanent cap is {Q_PERMANENT_CAP} rows, got {n}")
+    # zero row or column forces every bijection product to vanish
+    if any(not any(row) for row in matrix):
+        return QPolynomial.zero()
+    if any(not any(matrix[i][j] for i in range(n)) for j in range(n)):
+        return QPolynomial.zero()
+
+    rows = []
+    denominator = 1
+    bound = math.factorial(n)
+    for row in matrix:
+        entries, scale = _clear_denominators(row)
+        rows.append([(j, 1 << j, e) for j, e in enumerate(entries) if e])
+        denominator *= scale
+        bound *= max(map(abs, entries))
+    width = _field_width(bound)
+
+    level = {0: 1}
+    for columns in rows:
+        nxt: dict[int, int] = {}
+        for mask, value in level.items():
+            for j, bit, entry in columns:
+                if mask & bit:
+                    continue
+                term = (value if entry == 1 else value * entry) << (
+                    (mask >> (j + 1)).bit_count() * width
+                )
+                target = mask | bit
+                nxt[target] = nxt.get(target, 0) + term
+        level = nxt
+        if not level:
+            return QPolynomial.zero()
+    (value,) = level.values()
+    return _unpack(value, width, denominator)

@@ -67,6 +67,22 @@ def test_qperm_rejects_non_binary(tmp_path, capsys):
     assert "0 or 1" in err
 
 
+def test_qperm_rejects_ragged_rows_with_their_line(tmp_path, capsys):
+    path = tmp_path / "m.tsv"
+    path.write_text("1\t1\t0\n# comment\n\n1\t1\n0\t1\t1\n")
+    code, out, err = run(capsys, "qperm", "--matrix", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:4: 2 entries, earlier rows have 3\n"
+
+
+def test_qperm_rectangular_matrix_is_a_library_refusal(tmp_path, capsys):
+    path = tmp_path / "m.tsv"
+    path.write_text("1\t1\t0\n0\t1\t1\n")
+    code, out, err = run(capsys, "qperm", "--matrix", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: q_permanent requires a square matrix\n"
+
+
 def test_norm_presets(capsys):
     code, out, _ = run(capsys, "norm", "--n", "2", "--rep", "sym")
     assert (code, out) == (0, "2 + 2*q\n")

@@ -83,3 +83,21 @@ def test_validating_records_keep_their_defaults_and_hash():
     assert record.model_dependent is False
     assert hash(record) == hash(BoundRecord("e", "-", 1, 1e-9, "near_bose", "test"))
     assert record != BoundRecord("e", "-", 1, 1e-9, "near_fermi", "test")
+
+
+def test_records_with_dict_fields_hash_by_value():
+    rep = preset_rep(2, "symmetric")
+    twin = RepCoefficients(2, {(2, 1): 1, (1, 2): Fraction(2, 2)}, label="symmetric")
+    assert rep == twin and rep is not twin
+    assert hash(rep) == hash(twin)
+    state = StateVector({(A, B): Fraction(1, 2), (B, A): 1})
+    state_twin = StateVector({(B, A): Fraction(1), (A, B): Fraction(1, 2)})
+    assert hash(state) == hash(state_twin)
+    spec = CompositeSpec(2, ("x", "y"), rep)
+    spec_twin = CompositeSpec(2, ["x", "y"], twin)
+    assert hash(spec) == hash(spec_twin)
+    table = {rep: "rep", state: "state", spec: "spec"}
+    assert table[twin] == "rep"
+    assert table[state_twin] == "state"
+    assert table[spec_twin] == "spec"
+    assert len({rep, twin, preset_rep(2, "antisymmetric")}) == 2

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from oracles import level_dp_q_permanent
 
 from quonstat import (
     CapExceeded,
@@ -22,6 +23,13 @@ from quonstat import (
 
 K1, K2, K3 = ModeLabel("k1"), ModeLabel("k2"), ModeLabel("k3")
 K = ModeLabel("k")
+
+
+def _q_factorial(n):
+    result = QPolynomial.one()
+    for m in range(1, n + 1):
+        result = result * QPolynomial([1] * m)
+    return result
 
 
 def test_scalar_product_two_distinct_same_order():
@@ -156,11 +164,8 @@ def test_permuted_distinct_word_gives_inversion_monomial():
 def test_identical_labels_word_gives_q_factorial():
     for n in range(1, 7):
         word = tuple(ModeLabel("k") for _ in range(n))
-        q_factorial = QPolynomial.one()
-        for m in range(1, n + 1):
-            q_factorial = q_factorial * QPolynomial([1] * m)
         got = scalar_product(word, word)
-        assert got == q_factorial
+        assert got == _q_factorial(n)
         if n <= 6:
             assert got == oracle_scalar_product(word, word)
 
@@ -190,3 +195,75 @@ def test_squared_norms_nonnegative_inside_range():
         norm = scalar_product(word, word)
         for x in points:
             assert norm.evaluate(x) >= -1e-12
+
+
+def _one_hole(n, rng):
+    holes = list(range(n))
+    rng.shuffle(holes)
+    return [[0 if j == holes[i] else 1 for j in range(n)] for i in range(n)]
+
+
+def test_q_permanent_matches_level_dp_past_the_brute_force_cap():
+    rng = random.Random(20261019)
+    matrices = [_one_hole(n, rng) for n in (13, 14, 16)]
+    perm = list(range(16))
+    rng.shuffle(perm)
+    matrices.append([[1 if j == perm[i] else 0 for j in range(16)] for i in range(16)])
+    matrices.append([[1 if abs(i - j) <= 2 else 0 for j in range(16)] for i in range(16)])
+    # a 30 %-dense 0/1 matrix; a zero line would end both DPs before the loop
+    dense30 = [[0] * 16]
+    while any(not any(row) for row in dense30) or not all(map(any, zip(*dense30))):
+        dense30 = [[1 if rng.random() < 0.3 else 0 for _ in range(16)] for _ in range(16)]
+    matrices.append(dense30)
+    ab = tuple(ModeLabel(x) for x in "ab" * 8)
+    matrices.append(delta_matrix(ab, ab))
+    for n in (9, 10):
+        for _ in range(3):
+            matrices.append([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+            matrices.append(
+                [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+            )
+    for matrix in matrices:
+        assert len(matrix) >= 9
+        with pytest.raises(CapExceeded):
+            oracle_q_permanent(matrix)
+        assert q_permanent(matrix) == level_dp_q_permanent(matrix)
+
+
+def test_q_permanent_of_all_ones_at_the_cap_is_the_q_factorial():
+    ones = [[1] * 16 for _ in range(16)]
+    expected = _q_factorial(16)
+    assert q_permanent(ones) == expected
+    assert level_dp_q_permanent(ones) == expected
+
+
+def test_q_permanent_when_a_frontier_slot_cancels():
+    # four of the block's six bijection terms are nonzero, and they cancel
+    block = [[1, 1, 1], [1, 0, 1], [1, -1, 1]]
+    assert q_permanent(block) == oracle_q_permanent(block) == QPolynomial.zero()
+    rng = random.Random(5)
+    for n in (6, 9, 12):
+        # block-diagonal: the cancelled slot is the only one its row reached
+        diagonal = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if i < 3 and j < 3:
+                    diagonal[i][j] = block[i][j]
+                elif i >= 3 and j >= 3:
+                    diagonal[i][j] = rng.randint(1, 2)
+        # the block's rows also reach other columns, so the run goes on
+        # past the cancelled slot
+        spread = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+        for i in range(3):
+            spread[i][:3] = block[i]
+        for matrix in (diagonal, spread):
+            expected = level_dp_q_permanent(matrix)
+            if n <= 8:
+                assert expected == oracle_q_permanent(matrix)
+            assert q_permanent(matrix) == expected
+        assert q_permanent(diagonal) == QPolynomial.zero()
+    # a slot that cancels to zero and is then reached again in the same row
+    # is listed twice in the frontier; it must be pushed once
+    twice = [[1, 0, 1, -1], [0, 1, 0, 1], [-1, 1, 1, 1], [-1, 1, 1, 1]]
+    assert q_permanent(twice) == oracle_q_permanent(twice)
+
