@@ -7,6 +7,7 @@ errors.
 
 import argparse
 import os
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -215,8 +216,17 @@ def _cmd_bounds_chain(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes '-1e-3', '-inf' or '-nan' after an option as its value, as it
+    takes '-1'; argparse's own pattern reads them as option names."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quonstat",
         description="Exact quon-algebra scalar products, composite statistics, "
         "and Pauli-violation bound propagation.",

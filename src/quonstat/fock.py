@@ -34,7 +34,6 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 from .errors import GRAM_CAP, CapExceeded, ContractViolation, UnsupportedError, refuse_above_cap
 from .permutations import (
     RepCoefficients,
-    _exact,
     all_permutations,
     character_table,
     cycle_type,
@@ -44,7 +43,7 @@ from .permutations import (
     orthogonal_form,
     partitions,
 )
-from .qpoly import QPolynomial
+from .qpoly import Coefficient, QPolynomial, _exact
 from .record import Record
 from .wick import ModeLabel, Word, contract_terms, scalar_product
 
@@ -52,13 +51,13 @@ from .wick import ModeLabel, Word, contract_terms, scalar_product
 class StateVector(Record):
     """Linear combination of equal-length operator words; zero
     coefficients are never stored.  Each coefficient is exact and stored
-    by ``permutations._exact``: an int when it is integral, a Fraction
+    by ``qpoly._exact``: an int when it is integral, a Fraction
     otherwise, so states of integer reps hold only ints."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Word, int | Fraction]):
-        cleaned: dict[Word, int | Fraction] = {}
+    def __init__(self, terms: Mapping[Word, Coefficient]):
+        cleaned: dict[Word, Coefficient] = {}
         length = None
         for w, c in terms.items():
             w = tuple(w)
@@ -85,7 +84,7 @@ def build_state(labels: Sequence[ModeLabel], rep: RepCoefficients) -> StateVecto
         raise ContractViolation(
             f"got {len(labels)} labels for a rep over S_{rep.n}"
         )
-    terms: dict[Word, int | Fraction] = {}
+    terms: dict[Word, Coefficient] = {}
     for p, c in rep.coeffs.items():
         permuted = tuple(labels[i - 1] for i in p)
         terms[permuted] = terms.get(permuted, 0) + c
@@ -94,7 +93,7 @@ def build_state(labels: Sequence[ModeLabel], rep: RepCoefficients) -> StateVecto
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Concatenation product: words concatenate, coefficients multiply."""
-    terms: dict[Word, int | Fraction] = {}
+    terms: dict[Word, Coefficient] = {}
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
             w = wa + wb
@@ -144,8 +143,8 @@ class GramMatrix(NamedTuple):
         once per distinct scalar product; entries that are equal but
         distinct objects are simply passed to f separately.
         """
-        # keyed by identity: hashing the Fraction coefficients of a
-        # polynomial costs more than most calls it would save
+        # keyed by identity: hashing the coefficients of every entry, even
+        # int ones, costs more than the calls it would save
         distinct = {id(entry): entry for row in self.entries for entry in row}
         values = {key: f(entry) for key, entry in distinct.items()}
         return [[values[id(entry)] for entry in row] for row in self.entries]

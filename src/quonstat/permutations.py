@@ -15,11 +15,11 @@ so they stay meaningful when labels repeat.
 
 import functools
 import math
-from fractions import Fraction
 from itertools import permutations as _itertools_permutations
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ContractViolation, UnsupportedError, refuse_above_cap
+from .qpoly import Coefficient, _exact
 from .record import Record
 
 if TYPE_CHECKING:
@@ -99,26 +99,16 @@ def all_permutations(n: int) -> Iterator[Permutation]:
     return _itertools_permutations(range(1, n + 1))
 
 
-def _exact(value) -> int | Fraction:
-    """``value`` as an exact coefficient in canonical form: an int when it
-    is integral, a Fraction otherwise.  The two compare and hash alike, so
-    either form works as a key or in an equality test."""
-    if type(value) is int:
-        return value
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
-
-
 class RepCoefficients(Record):
     """Coefficients c(P) selecting a symmetric-group representation
     combination; kept unnormalized, the state normalization absorbs scale.
 
-    Each coefficient is exact and stored by ``_exact``: an int when it is
+    Each coefficient is exact and stored by ``qpoly._exact``: an int when it is
     integral, as in the presets, and a Fraction otherwise."""
 
     __slots__ = ("n", "coeffs", "label")
 
-    def __init__(self, n: int, coeffs: Mapping[Permutation, int | Fraction], label: str = ""):
+    def __init__(self, n: int, coeffs: Mapping[Permutation, Coefficient], label: str = ""):
         if n < 1:
             raise ContractViolation("RepCoefficients.n must be >= 1")
         cleaned = {}
@@ -135,7 +125,7 @@ class RepCoefficients(Record):
             raise ContractViolation("RepCoefficients needs at least one nonzero entry")
         self._set(n, cleaned, label)
 
-    def coefficient(self, p: Permutation) -> int | Fraction:
+    def coefficient(self, p: Permutation) -> Coefficient:
         return self.coeffs.get(tuple(p), 0)
 
 

@@ -1,6 +1,7 @@
 """Exact univariate polynomials in the deformation parameter q.
 
-Coefficients are arbitrary-precision rationals (`fractions.Fraction`), so
+Coefficients are exact rationals in one canonical form, decided here by
+``_exact``: an int where integral, a `fractions.Fraction` otherwise.  So
 every contraction amplitude in the package is an exact object and equality
 of amplitudes is structural equality.  The canonical form stores ascending
 powers with the trailing (highest-power) coefficient nonzero; the zero
@@ -26,7 +27,18 @@ Coefficient = Union[int, Fraction]
 _TERM_PATTERN = r"^(?:(?P<coef>\d+(?:/\d+)?)\*?)?(?P<var>q(?:\^(?P<exp>\d+))?)?$"
 
 
-def _trim(coeffs: list) -> tuple:
+def _exact(value) -> Coefficient:
+    """``value`` as an exact coefficient in canonical form: an int when it
+    is integral, a Fraction otherwise.  The two compare and hash alike, so
+    either form works as a key or in an equality test."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _trim(coeffs: Iterable) -> tuple:
+    coeffs = list(map(_exact, coeffs))
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
@@ -38,11 +50,11 @@ class QPolynomial(Record):
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Iterable[Coefficient] = ()):
-        self._set(_trim([Fraction(c) for c in coefficients]))
+        self._set(_trim(coefficients))
 
     @classmethod
     def _from_trimmed(cls, coeffs: tuple) -> "QPolynomial":
-        # trusted constructor: caller guarantees Fractions in canonical form
+        # trusted constructor: caller guarantees the canonical form of ``_trim``
         p = cls.__new__(cls)
         object.__setattr__(p, "coefficients", coeffs)
         return p
@@ -73,10 +85,10 @@ class QPolynomial(Record):
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def coefficient(self, power: int) -> Fraction:
+    def coefficient(self, power: int) -> Coefficient:
         if 0 <= power < len(self.coefficients):
             return self.coefficients[power]
-        return Fraction(0)
+        return 0
 
     def __bool__(self) -> bool:
         return bool(self.coefficients)
@@ -127,7 +139,7 @@ class QPolynomial(Record):
         a, b = self.coefficients, other.coefficients
         if not a or not b:
             return QPolynomial.zero()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if not ca:
                 continue
@@ -159,10 +171,10 @@ class QPolynomial(Record):
             raise ContractViolation("substitution power must be >= 1")
         if m == 1 or not self.coefficients:
             return self
-        out = [Fraction(0)] * ((len(self.coefficients) - 1) * m + 1)
+        out = [0] * ((len(self.coefficients) - 1) * m + 1)
         for k, c in enumerate(self.coefficients):
             out[m * k] = c
-        return QPolynomial._from_trimmed(_trim(out))
+        return QPolynomial._from_trimmed(tuple(out))
 
     def __str__(self) -> str:
         if not self.coefficients:
@@ -193,7 +205,7 @@ def _coerce(value) -> "QPolynomial | None":
     return None
 
 
-def _term_str(power: int, c: Fraction) -> str:
+def _term_str(power: int, c: Coefficient) -> str:
     try:
         coef = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
     except ValueError:
@@ -213,11 +225,9 @@ def parse(text: str) -> QPolynomial:
     s = text.strip()
     if not s:
         raise ParseError("empty polynomial text")
-    if s == "0":
-        return QPolynomial.zero()
     # split into signed terms at top level
     chunks = re.split(r"(?=[+-])", s.replace(" ", ""))
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, Coefficient] = {}
     for chunk in chunks:
         if not chunk:
             continue
@@ -230,7 +240,7 @@ def parse(text: str) -> QPolynomial:
         if not m or (m.group("coef") is None and m.group("var") is None):
             raise ParseError(f"bad polynomial term {chunk!r} in {text!r}")
         try:
-            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+            coef = _exact(m.group("coef")) if m.group("coef") else 1
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in term {chunk!r} of {text!r}") from None
         if m.group("var") is None:
@@ -239,8 +249,5 @@ def parse(text: str) -> QPolynomial:
             power = 1
         else:
             power = int(m.group("exp"))
-        coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coef
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for power, c in coeffs.items():
-        out[power] = c
-    return QPolynomial._from_trimmed(_trim(out))
+        coeffs[power] = coeffs.get(power, 0) + sign * coef
+    return QPolynomial(coeffs.get(k, 0) for k in range(max(coeffs) + 1))

@@ -31,11 +31,11 @@ All paths return exact `QPolynomial` values and must agree identically.
 
 import math
 from fractions import Fraction
-from itertools import permutations as _bijections
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
-from .errors import Q_PERMANENT_CAP, CapExceeded, ContractViolation, refuse_above_cap
-from .qpoly import QPolynomial
+from .errors import Q_PERMANENT_CAP, CapExceeded, ContractViolation
+from .permutations import all_permutations, inversion_number
+from .qpoly import QPolynomial, _exact
 
 
 class ModeLabel(NamedTuple):
@@ -80,7 +80,9 @@ def _field_width(bound: int) -> int:
 
 def _unpack(value: int, width: int, denominator: int) -> QPolynomial:
     """Decode a packed polynomial: field k of ``width`` signed bits holds
-    the coefficient of q^k times ``denominator``."""
+    the coefficient of q^k times ``denominator``.  At ``denominator`` 1
+    the fields are the coefficients, as ints; else each is divided and
+    put in the canonical form of ``qpoly._exact``."""
     mask = (1 << width) - 1
     half = 1 << (width - 1)
     coeffs = []
@@ -90,7 +92,9 @@ def _unpack(value: int, width: int, denominator: int) -> QPolynomial:
             field -= 1 << width
         coeffs.append(field)
         value = (value - field) >> width
-    return QPolynomial._from_trimmed(tuple(Fraction(c, denominator) for c in coeffs))
+    if denominator != 1:
+        coeffs = [_exact(Fraction(c, denominator)) for c in coeffs]
+    return QPolynomial._from_trimmed(tuple(coeffs))
 
 
 def q_permanent(matrix: Sequence[Sequence]) -> QPolynomial:
@@ -176,25 +180,11 @@ def oracle_q_permanent(matrix: Sequence[Sequence]) -> QPolynomial:
             raise ContractViolation("q_permanent requires a square matrix")
     if n == 0:
         return QPolynomial.one()
-    refuse_above_cap(n)
     coeffs = [0] * (n * (n - 1) // 2 + 1)
-    for bijection in _bijections(range(n)):
-        prod = 1
-        for i, j in enumerate(bijection):
-            entry = matrix[i][j]
-            if not entry:
-                prod = 0
-                break
-            prod *= entry
-        if not prod:
-            continue
-        inv = 0
-        for i in range(n):
-            bi = bijection[i]
-            for j in range(i + 1, n):
-                if bi > bijection[j]:
-                    inv += 1
-        coeffs[inv] += prod
+    for bijection in all_permutations(n):
+        prod = math.prod(matrix[i][j - 1] for i, j in enumerate(bijection))
+        if prod:
+            coeffs[inversion_number(bijection)] += prod
     return QPolynomial(coeffs)
 
 
@@ -222,8 +212,9 @@ def contract_terms(left: Iterable, right: Iterable) -> QPolynomial:
     denominator.  Every polynomial is one integer with a signed field of
     fixed width per power of q; no field can exceed
     m! * sum|left| * sum|right|, the number of pairings times the
-    coefficient mass.  Each trie node fills the residual states of all
-    its child letters in one pass over its own state.
+    coefficient mass.  The trie is walked with a stack, not recursion, so
+    no word is too long for it: each node fills the residual states of
+    all its child letters in one pass over its own state.
     """
     left, right = list(left), list(right)
     if not left or not right or len(left[0][0]) != len(right[0][0]):
@@ -249,9 +240,13 @@ def contract_terms(left: Iterable, right: Iterable) -> QPolynomial:
             node = node.setdefault(ids.setdefault(k, len(ids)), {})
         node[None] = node.get(None, 0) + c
 
-    def descend(node, depth, state):
-        if depth == m:
-            return node[None] * state[()]
+    total = 0
+    stack = [(trie, state)]
+    while stack:
+        node, state = stack.pop()
+        if None in node:
+            total += node[None] * state[()]
+            continue
         children = {k: {} for k in node}
         for residual, value in state.items():
             for j, letter in enumerate(residual):
@@ -259,13 +254,8 @@ def contract_terms(left: Iterable, right: Iterable) -> QPolynomial:
                 if nxt is not None:
                     key = residual[:j] + residual[j + 1:]
                     nxt[key] = nxt.get(key, 0) + (value << j * width)
-        total = 0
-        for k, nxt in children.items():
-            if nxt:
-                total += descend(node[k], depth + 1, nxt)
-        return total
-
-    return _unpack(descend(trie, 0, state), width, left_scale * right_scale)
+        stack.extend((node[k], nxt) for k, nxt in children.items() if nxt)
+    return _unpack(total, width, left_scale * right_scale)
 
 
 def scalar_product(left: Word, right: Word) -> QPolynomial:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from quonstat import composite, fock
-from quonstat.cli import main
+from quonstat.cli import _parse_rep, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -255,6 +256,24 @@ def test_gram_refuses_non_finite_q(capsys, q):
         assert "finite" in err
 
 
+@pytest.mark.parametrize(
+    "head, option, value, tail, expected",
+    [
+        (["gram", "--labels", "a,b"], "--q", "-1e-3", [], (0, "1\t-0.001\n-0.001\t1\n", "")),
+        (["weights", "--n", "3"], "--q", "-5e-1", [],
+         (0, "trivial\t0.0625\nstandard\t0.5\nsign\t0.4375\n", "")),
+        (["gram", "--labels", "a,b"], "--q", "-inf", [],
+         (1, "", "error: q must be a finite number, got -inf\n")),
+        (["bounds", "propagate"], "--epsilon", "-1e-3", ["--n", "3"],
+         (1, "", "error: epsilon must be positive and finite\n")),
+    ],
+)
+def test_negative_number_in_exponent_form_is_a_value(capsys, head, option, value, tail, expected):
+    # argparse's own pattern reads '-1e-3' and '-inf' as option names
+    assert run(capsys, *head, option, value, *tail) == expected
+    assert run(capsys, *head, f"{option}={value}", *tail) == expected
+
+
 def test_gram_refuses_overflowing_q(capsys):
     for extra in ((), ("--check-psd",)):
         code, out, err = run(capsys, "gram", "--labels", "a,b,c", "--q", "1e200", *extra)
@@ -394,6 +413,13 @@ def test_composite_one_term_rep_at_n10(tmp_path, capsys):
     assert out.splitlines()[-2:] == ["cross\t0", "exponent\t100"]
 
 
+def test_norm_of_a_one_term_rep_past_the_recursion_limit(tmp_path, capsys):
+    # a rep file of one term has no n cap; its one word is 1200 letters long
+    path = tmp_path / "one.tsv"
+    path.write_text(",".join(map(str, range(1, 1201))) + "\t1\n")
+    assert run(capsys, "norm", "--n", "1200", "--rep", str(path)) == (0, "1\n", "")
+
+
 def test_rep_file_of_mixed_coefficients_prints_the_same_polynomials(tmp_path, capsys):
     # integers, a signed integer, a fraction and an integral fraction
     path = tmp_path / "mixed.tsv"
@@ -409,6 +435,16 @@ def test_rep_file_of_mixed_coefficients_prints_the_same_polynomials(tmp_path, ca
         "cross\t0\n"
         "exponent\t9\n",
     )
+    # a Fraction only where a coefficient is not integral
+    spec = composite.CompositeSpec(3, (1, 2, 3), _parse_rep(str(path), 3))
+    aligned, swapped, _ = composite.exchange_law(spec)
+    for poly in (fock.normalization_poly(spec.rep, [1, 2, 3]), aligned.direct, swapped.exchange):
+        assert all(
+            type(c) is (int if c.denominator == 1 else Fraction) for c in poly.coefficients
+        )
+        assert type(poly.coefficients[-1]) is int and any(
+            type(c) is Fraction for c in poly.coefficients
+        )
 
 
 def test_weo(capsys):
@@ -645,10 +681,16 @@ FILE_CONTENT = st.one_of(
 )
 
 
+def numeric(draw, option, values):
+    """``option`` and a drawn value, as one '--x=v' token or as two."""
+    value = draw(values)
+    return [f"{option}={value}"] if draw(st.booleans()) else [option, value]
+
+
 @st.composite
 def cli_argv(draw, path):
     """An argv that argparse accepts, with hostile values in its slots;
-    every file slot names ``path``."""
+    every file slot names ``path``, and a numeric slot is one token or two."""
     rep = draw(st.sampled_from(["sym", "antisym", str(path), "no_such_rep", ""]))
     command = draw(st.sampled_from(
         ["sp", "qperm", "norm", "gram", "weights", "composite", "weo", "propagate", "chain"]
@@ -658,21 +700,23 @@ def cli_argv(draw, path):
     if command == "qperm":
         return ["qperm", "--matrix", str(path)]
     if command == "norm":
-        return ["norm", f"--n={draw(COUNTS)}", "--rep", rep]
+        return ["norm", *numeric(draw, "--n", COUNTS), "--rep", rep]
     if command == "gram":
         argv = ["gram", "--labels", draw(label_lists(5))]
         if draw(st.booleans()):
-            argv.append(f"--q={draw(HOSTILE_NUMBERS)}")
+            argv += numeric(draw, "--q", HOSTILE_NUMBERS)
         return argv + ["--check-psd"] * draw(st.booleans())
     if command == "weights":
-        return ["weights", f"--n={draw(COUNTS)}", f"--q={draw(HOSTILE_NUMBERS)}"]
+        return ["weights", *numeric(draw, "--n", COUNTS), *numeric(draw, "--q", HOSTILE_NUMBERS)]
     if command == "composite":
-        argv = ["composite", f"--n={draw(COUNTS)}", "--rep", rep]
+        argv = ["composite", *numeric(draw, "--n", COUNTS), "--rep", rep]
         return argv + ["--overlap"] * draw(st.booleans())
     if command == "weo":
-        return ["weo", f"--n={draw(COUNTS)}", f"--q={draw(st.sampled_from(['-1', '1']))}"]
+        sign = numeric(draw, "--q", st.sampled_from(["-1", "1"]))
+        return ["weo", *numeric(draw, "--n", COUNTS), *sign]
     if command == "propagate":
-        argv = ["bounds", "propagate", f"--epsilon={draw(HOSTILE_NUMBERS)}", f"--n={draw(COUNTS)}"]
+        argv = ["bounds", "propagate", *numeric(draw, "--epsilon", HOSTILE_NUMBERS)]
+        argv += numeric(draw, "--n", COUNTS)
         return argv + ["--exact"] * draw(st.booleans())
     links = st.sampled_from(["root", "x", "a:2", "a:0", "a:-2", "a:z", "", ":", "q:3"])
     argv = ["bounds", "chain", "--path", ",".join(draw(st.lists(links, min_size=1, max_size=4)))]

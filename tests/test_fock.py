@@ -146,9 +146,9 @@ def test_normalization_poly_contracts_int_coefficients(monkeypatch, kind):
         return contract_terms(left, right)
 
     monkeypatch.setattr(fock, "contract_terms", spy)
-    assert normalization_poly(preset_rep(4, kind), labels(4)) == (
-        q_factorial(4) if kind == "symmetric" else signed_q_factorial(4)
-    ) * 24
+    norm = normalization_poly(preset_rep(4, kind), labels(4))
+    assert norm == (q_factorial(4) if kind == "symmetric" else signed_q_factorial(4)) * 24
+    assert {type(c) for c in norm.coefficients} == {int}
     assert len(seen) == 2 * 24 and set(seen) == {int}
 
 

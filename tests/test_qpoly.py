@@ -95,6 +95,29 @@ def test_parse_examples():
     assert parse_polynomial("2 - 2*q") == QPolynomial([2, -2])
 
 
+def canonical(p):
+    """Every coefficient an int where integral and a Fraction only where not."""
+    return all(
+        type(c) is (int if c.denominator == 1 else Fraction) for c in p.coefficients
+    )
+
+
+def test_integral_results_hold_ints():
+    half = QPolynomial([Fraction(1, 2), Fraction(3, 2)])
+    for p in (half + half, half - QPolynomial([Fraction(1, 2)]), half * 2, half * half):
+        assert canonical(p)
+    assert (half + half).coefficients == (1, 3)
+    assert (QPolynomial([Fraction(1, 2)]) * 2).coefficients == (1,)
+    assert (half * half).coefficients == (Fraction(1, 4), Fraction(3, 2), Fraction(9, 4))
+    assert type(QPolynomial([Fraction(4, 2)]).coefficients[0]) is int
+    assert type(half.coefficient(7)) is int
+    assert QPolynomial([0.5]).coefficients == (Fraction(1, 2),)
+    assert type(QPolynomial([0.5]).coefficients[0]) is Fraction
+    parsed = parse_polynomial("1/2 + 4/2*q")
+    assert parsed.coefficients == (Fraction(1, 2), 2) and canonical(parsed)
+    assert type(parse_polynomial("1/2 + 1/2").coefficients[0]) is int
+
+
 def test_parse_rejects_garbage():
     for bad in ("", "q^", "1 +", "x + 1", "q^-2", "1/0", "1/0*q"):
         with pytest.raises(ParseError):
@@ -114,6 +137,12 @@ def test_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
+
+
+@given(polys, polys)
+def test_arithmetic_results_are_canonical(a, b):
+    for p in (a, a + b, a - b, a * b, -a, a.substitute_power(3), parse_polynomial(str(a))):
+        assert canonical(p), p.coefficients
 
 
 @given(polys, polys, rationals)

@@ -20,6 +20,7 @@ from quonstat import (
     q_permanent,
     scalar_product,
 )
+from quonstat.wick import contract_terms
 
 K1, K2, K3 = ModeLabel("k1"), ModeLabel("k2"), ModeLabel("k3")
 K = ModeLabel("k")
@@ -267,3 +268,28 @@ def test_q_permanent_when_a_frontier_slot_cancels():
     twice = [[1, 0, 1, -1], [0, 1, 0, 1], [-1, 1, 1, 1], [-1, 1, 1, 1]]
     assert q_permanent(twice) == oracle_q_permanent(twice)
 
+
+
+def test_contract_terms_runs_on_words_past_the_recursion_limit():
+    word = tuple(ModeLabel(i) for i in range(1500))
+    assert contract_terms([(word, 1)], [(word, 1)]) == QPolynomial.one()
+    # the last two letters swapped: the trie branches just above its leaves
+    swapped = word[:-2] + word[:-3:-1]
+    terms = [(word, 1), (swapped, 1)]
+    assert contract_terms(terms, terms) == QPolynomial([2, 2])
+
+
+def test_engine_and_dp_results_hold_ints_where_integral():
+    def types(p):
+        return tuple(type(c) for c in p.coefficients)
+
+    ones = q_permanent([[1, 1, 1]] * 3)
+    assert ones == _q_factorial(3) and set(types(ones)) == {int}
+    # a Fraction entry whose products are all integral
+    assert types(q_permanent([[Fraction(1, 2), 1], [1, 2]])) == (int, int)
+    third = q_permanent([[Fraction(1, 3), 1], [1, 1]])
+    assert third.coefficients == (Fraction(1, 3), 1) and types(third) == (Fraction, int)
+    word = (K1, K2)
+    halves = contract_terms([(word, Fraction(1, 2))], [(word, 2), (word[::-1], Fraction(1, 2))])
+    assert halves.coefficients == (1, Fraction(1, 4)) and types(halves) == (int, Fraction)
+    assert set(types(scalar_product((K, K, K1), (K1, K, K)))) == {int}
