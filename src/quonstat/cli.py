@@ -16,7 +16,7 @@ from . import bounds as bounds_mod
 from . import composite as composite_mod
 from . import fock, wick
 from .errors import ContractViolation, ParseError, QuonError, read_text, refuse_above_cap
-from .permutations import RepCoefficients, preset_rep
+from .permutations import RepCoefficients, check_permutation, preset_rep
 from .wick import ModeLabel
 
 
@@ -50,12 +50,12 @@ def _parse_rep(raw: str, n: int) -> RepCoefficients:
         if len(parts) != 2:
             raise ParseError(f"{raw}:{lineno}: expected 'images<TAB>coefficient'")
         try:
-            images = tuple(int(x) for x in parts[0].split(","))
+            images = check_permutation(int(x) for x in parts[0].split(","))
             # a short exponent can stand for more digits than memory holds
             if "e" in parts[1].lower():
                 raise ValueError(f"coefficient {parts[1]!r} has an exponent")
             coeff = Fraction(parts[1])
-        except ValueError as exc:
+        except (ValueError, ContractViolation) as exc:
             raise ParseError(f"{raw}:{lineno}: {exc}") from None
         except ZeroDivisionError:
             raise ParseError(f"{raw}:{lineno}: coefficient {parts[1]!r} has a zero denominator") from None
@@ -156,10 +156,11 @@ def _cmd_composite(args) -> int:
         refuse_above_cap(2 * args.n)
     aligned, swapped, exponent = composite_mod.exchange_law(spec)
     if args.overlap:
-        # the product of four equal tags, fed the law's P^2 (its direct
-        # term), so only the full product is contracted
+        # the product of four equal tags, fed the law's two whole-block
+        # terms, so only the full product is contracted
         tags = ("t", "t")
-        cross = composite_mod._split(spec, tags, tags, aligned.direct).cross
+        blocks = (aligned.direct, swapped.exchange)
+        cross = composite_mod._split(spec, tags, tags, blocks).cross
     else:
         # the aligned cross term, which exchange_law checked to be zero
         cross = aligned.cross

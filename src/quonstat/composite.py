@@ -28,12 +28,15 @@ is the full product less the two whole-block terms, one more engine
 call on the 2n-operator states.  That is work over S_2n, which the S_k
 cap of ``errors.refuse_above_cap`` refuses for n > 4.
 
-P is one engine call per law: ``exchange_law`` contracts it once and
-feeds P^2 to the split of both the aligned and the swapped product and
-to its direct = P^2 check, and ``two_composite_scalar`` contracts it
-once, only when a whole block passes.  ``quonstat composite --overlap``
-feeds the law's P^2 to the product of four equal tags, so it makes two
-engine calls: P and the full product.
+The two whole-block terms are formed once per law: ``_whole_blocks``
+contracts P (one engine call), squares it, counts the crossings c of
+``block_swap`` and shifts P^2 by c, and the split only picks between
+P^2 and q^c * P^2 by the tag test.  ``exchange_law`` feeds the pair to
+the split of both the aligned and the swapped product and checks
+c = n^2; ``two_composite_scalar`` forms it only when a whole block
+passes.  ``quonstat composite --overlap`` feeds the law's pair to the
+product of four equal tags, so it makes two engine calls: P and the
+full product.
 """
 
 from typing import Hashable, NamedTuple, Sequence
@@ -96,15 +99,24 @@ def _norm(spec: CompositeSpec) -> QPolynomial:
     return normalization_poly(spec.rep, [ModeLabel(i) for i in spec.internal_labels])
 
 
+def _whole_blocks(spec: CompositeSpec) -> tuple[QPolynomial, QPolynomial, int]:
+    """P^2 and q^c * P^2 for the composite norm P, from one contraction,
+    and the crossing count c of ``block_swap``."""
+    p = _norm(spec)
+    squared = p * p
+    crossings = inversion_number(block_swap(spec.n))
+    return squared, squared.shift(crossings), crossings
+
+
 def _split(
     spec: CompositeSpec,
     left_tags: Sequence[Hashable],
     right_tags: Sequence[Hashable],
-    squared_norm: QPolynomial | None,
+    whole_blocks: tuple[QPolynomial, QPolynomial] | None,
 ) -> TwoCompositeResult:
-    # the q-shuffle split of ``two_composite_scalar``, given P^2 for the
-    # composite norm P; None contracts P here, and only if a whole block
-    # passes the tag test
+    # the q-shuffle split of ``two_composite_scalar``, given the direct and
+    # exchange block terms of ``_whole_blocks``; None forms them here, and
+    # only if a whole block passes the tag test
     n = spec.n
     (t1, t2), (u1, u2) = left_tags, right_tags
     overlap = t1 == t2 or u1 == u2
@@ -117,14 +129,9 @@ def _split(
     zero = QPolynomial.zero()
     direct = exchange = zero
     if any(passes):
-        if squared_norm is None:
-            norm = _norm(spec)
-            squared_norm = norm * norm
-        crossings = (0, inversion_number(block_swap(n)))
-        direct, exchange = (
-            QPolynomial.monomial(c) * squared_norm if ok else zero
-            for c, ok in zip(crossings, passes)
-        )
+        if whole_blocks is None:
+            whole_blocks = _whole_blocks(spec)[:2]
+        direct, exchange = (term if ok else zero for term, ok in zip(whole_blocks, passes))
     cross = zero
     if overlap:
         left = tensor(composite_word(spec, t1), composite_word(spec, t2))
@@ -169,32 +176,25 @@ def exchange_law(
     Asserts the exact identities direct = P^2 and exchange = q^(n^2) *
     direct, plus the n^2 crossing count of the order-preserving block
     swap.  Any failure raises TheoremViolation.  Both products come from
-    the split of ``two_composite_scalar``, fed the one P; direct = P^2
-    checks which block the split let pass and with which power of q.
+    the split of ``two_composite_scalar``, fed the one pair P^2 and
+    q^(n^2) * P^2; direct = P^2 checks which block the split let pass.
     """
     n = spec.n
-    if inversion_number(block_swap(n)) != n * n:
+    squared, shifted, crossings = _whole_blocks(spec)
+    if crossings != n * n:
         raise TheoremViolation(f"block swap of n={n} does not have n^2 inversions")
-    p = _norm(spec)
-    squared = p * p
-    aligned = _split(spec, ("t1", "t2"), ("t1", "t2"), squared)
-    swapped = _split(spec, ("t1", "t2"), ("t2", "t1"), squared)
+    aligned = _split(spec, ("t1", "t2"), ("t1", "t2"), (squared, shifted))
+    swapped = _split(spec, ("t1", "t2"), ("t2", "t1"), (squared, shifted))
     zero = QPolynomial.zero()
     if aligned.direct != squared:
         raise TheoremViolation("direct component does not equal the squared normalization polynomial")
     if (aligned.exchange, aligned.cross) != (zero, zero):
         raise TheoremViolation("aligned tags produced non-direct components")
-    if swapped.exchange != QPolynomial.monomial(n * n) * aligned.direct:
+    if swapped.exchange != aligned.direct.shift(n * n):
         raise TheoremViolation("exchange component is not q^(n^2) times the direct component")
     if (swapped.direct, swapped.cross) != (zero, zero):
         raise TheoremViolation("swapped tags produced non-exchange components")
     return aligned, swapped, n * n
-
-
-def effective_exponent(spec: CompositeSpec) -> int:
-    """Verified exponent of the composite exchange parameter; see
-    ``exchange_law``."""
-    return exchange_law(spec)[2]
 
 
 def weo_limit_check(n: int, sign: str) -> str:
@@ -210,16 +210,3 @@ def weo_limit_check(n: int, sign: str) -> str:
     else:
         raise ContractViolation("sign must be 'bose' or 'fermi'")
     return BOSON if q_value ** (n * n) == 1 else FERMION
-
-
-def cross_term_magnitude(spec: CompositeSpec, shared_tags: bool) -> QPolynomial:
-    """Cross component under forced overlap.
-
-    With all four tags equal the constituents of every composite can
-    contract into both composites on the other side; the returned
-    polynomial quantifies the correction the weak-binding assumption
-    drops; it needs the full contraction, work over S_2n, so n > 4 is
-    refused.  With four pairwise-distinct tags no pairing reaches it.
-    """
-    left_tags, right_tags = (("t", "t"), ("t", "t")) if shared_tags else (("t1", "t2"), ("u1", "u2"))
-    return two_composite_scalar(spec, left_tags, right_tags).cross

@@ -139,13 +139,14 @@ def preset_rep(n: int, kind: str) -> RepCoefficients:
     return RepCoefficients(n=n, coeffs=coeffs, label=kind)
 
 
-def random_rep(n: int, rng: "random.Random", coeff_bound: int = 3) -> RepCoefficients:
-    """Random integer coefficient vector over S_n (at least one nonzero).
-    Used to probe representation independence of composite statistics."""
+def random_rep(n: int, rng: "random.Random") -> RepCoefficients:
+    """Random integer coefficient vector over S_n, each coefficient drawn
+    from -3..3 (at least one nonzero).  Used to probe representation
+    independence of composite statistics."""
     while True:
         coeffs = {}
         for p in all_permutations(n):
-            c = rng.randint(-coeff_bound, coeff_bound)
+            c = rng.randint(-3, 3)
             if c:
                 coeffs[p] = c
         if coeffs:

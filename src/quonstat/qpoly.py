@@ -72,10 +72,8 @@ class QPolynomial(Record):
         return cls((0, 1))
 
     @classmethod
-    def monomial(cls, power: int, coefficient: Coefficient = 1) -> "QPolynomial":
-        if power < 0:
-            raise ContractViolation("monomial power must be >= 0")
-        return cls([0] * power + [coefficient])
+    def monomial(cls, power: int) -> "QPolynomial":
+        return cls.one().shift(power)
 
     @property
     def degree(self) -> int:
@@ -89,6 +87,14 @@ class QPolynomial(Record):
         if 0 <= power < len(self.coefficients):
             return self.coefficients[power]
         return 0
+
+    def shift(self, k: int) -> "QPolynomial":
+        """q^k times this polynomial: k zero coefficients put in front."""
+        if k < 0:
+            raise ContractViolation("monomial power must be >= 0")
+        if not self.coefficients:
+            return self
+        return QPolynomial._from_trimmed((0,) * k + self.coefficients)
 
     def __bool__(self) -> bool:
         return bool(self.coefficients)

@@ -124,6 +124,16 @@ def test_rep_file_repeated_permutation_is_parse_error(tmp_path, capsys):
     assert err == f"error: {path}:3: permutation 1,2 already given on line 1\n"
 
 
+@pytest.mark.parametrize("images", ["1,1", "1,3", "0,1"])
+def test_rep_file_non_permutation_is_parse_error(tmp_path, capsys, images):
+    path = tmp_path / "rep.tsv"
+    path.write_text(f"2,1\t1\n{images}\t1\n")
+    code, out, err = run(capsys, "norm", "--n", "2", "--rep", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}:2: ") and "not a permutation of 1..2" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_rep_file_coefficient_too_large_for_text_is_one_line_error(tmp_path, capsys):
     path = tmp_path / "rep.tsv"
     # an exponent stands for more digits than memory holds; refused unparsed
@@ -366,24 +376,32 @@ def test_composite_contracts_each_product_once(monkeypatch, capsys, overlap, ful
     # the aligned and swapped products, plus the four-equal-tag product
     # under --overlap, whose cross term takes the one full contraction of
     # the 2n-operator states; the distinct-tag cross term is the aligned one.
-    # exchange_law contracts the composite norm P once for both of its
-    # products and its P^2 check, and the overlap product reuses the law's P
+    # exchange_law contracts the composite norm P and counts the crossings
+    # of the block swap once for both of its products and its P^2 check,
+    # and the overlap product reuses the law's two whole-block terms
     products = []
     word_lengths = []
+    counted_swaps = []
     split = composite._split
     contract_terms = fock.contract_terms
+    count_inversions = composite.inversion_number
 
-    def counted_products(spec, left_tags, right_tags, norm):
+    def counted_products(spec, left_tags, right_tags, blocks):
         products.append((left_tags, right_tags))
-        return split(spec, left_tags, right_tags, norm)
+        return split(spec, left_tags, right_tags, blocks)
 
     def counted_contractions(left, right):
         left = list(left)
         word_lengths.append(len(left[0][0]) if left else 0)
         return contract_terms(left, right)
 
+    def counted_inversions(perm):
+        counted_swaps.append(perm)
+        return count_inversions(perm)
+
     monkeypatch.setattr(composite, "_split", counted_products)
     monkeypatch.setattr(fock, "contract_terms", counted_contractions)
+    monkeypatch.setattr(composite, "inversion_number", counted_inversions)
     code, out, _ = run(capsys, "composite", "--n", "4", "--rep", "sym", *overlap)
     assert code == 0
     assert "cross\t" in out
@@ -392,6 +410,7 @@ def test_composite_contracts_each_product_once(monkeypatch, capsys, overlap, ful
     assert sorted(products) == sorted(expected)
     assert word_lengths.count(8) == full
     assert len(word_lengths) == 1 + full
+    assert counted_swaps == [composite.block_swap(4)]
 
 
 def test_composite_overlap_past_its_cap_is_refused_before_the_law(monkeypatch, capsys):
@@ -588,8 +607,8 @@ def test_every_operation_reachable_from_cli(tmp_path, capsys):
         ("norm", "--n", "2", "--rep", "sym"),                      # normalization_poly, build_state, preset_rep
         ("gram", "--labels", "a,b", "--q", "0.5", "--check-psd"),  # gram, psd_report, permutation basis
         ("weights", "--n", "3", "--q", "0.2"),                     # irrep_weights, character_table
-        ("composite", "--n", "2", "--rep", "antisym"),             # two_composite_scalar, effective_exponent
-        ("composite", "--n", "2", "--rep", "sym", "--overlap"),    # cross_term_magnitude
+        ("composite", "--n", "2", "--rep", "antisym"),             # exchange_law, two-composite split
+        ("composite", "--n", "2", "--rep", "sym", "--overlap"),    # cross term under forced overlap
         ("weo", "--n", "3", "--q", "-1"),                          # weo_limit_check
         ("bounds", "propagate", "--epsilon", "1e-9", "--n", "4"),  # propagate_first_order
         ("bounds", "propagate", "--epsilon", "1e-9", "--n", "4", "--exact"),  # propagate_exact

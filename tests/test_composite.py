@@ -21,8 +21,6 @@ from quonstat import (
     block_swap,
     composite,
     composite_word,
-    cross_term_magnitude,
-    effective_exponent,
     exchange_law,
     fock,
     inversion_number,
@@ -341,10 +339,10 @@ def test_exchange_law_small_n():
 
 
 def test_effective_exponent_values():
-    assert effective_exponent(make_spec(1, preset_rep(1, "symmetric"))) == 1
-    assert effective_exponent(make_spec(2, preset_rep(2, "symmetric"))) == 4
-    assert effective_exponent(make_spec(2)) == 4
-    assert effective_exponent(make_spec(3)) == 9
+    assert exchange_law(make_spec(1, preset_rep(1, "symmetric")))[2] == 1
+    assert exchange_law(make_spec(2, preset_rep(2, "symmetric")))[2] == 4
+    assert exchange_law(make_spec(2))[2] == 4
+    assert exchange_law(make_spec(3))[2] == 9
 
 
 def test_exchange_law_returns_the_products_it_verified():
@@ -352,25 +350,34 @@ def test_exchange_law_returns_the_products_it_verified():
     aligned, swapped, exponent = exchange_law(spec)
     assert aligned == two_composite_scalar(spec, ("t1", "t2"), ("t1", "t2"))
     assert swapped == two_composite_scalar(spec, ("t1", "t2"), ("t2", "t1"))
-    assert exponent == effective_exponent(spec) == 9
+    assert exponent == 9
 
 
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("rep", ["symmetric", "antisymmetric", "random"])
 def test_exchange_law_contracts_the_norm_once(monkeypatch, n, rep):
-    # one P feeds the aligned split, the swapped split and the P^2 check
+    # one P and one crossing count of the block swap feed the aligned
+    # split, the swapped split and the P^2 check
     spec = make_spec(n, random_rep(n, random.Random(n)) if rep == "random" else preset_rep(n, rep))
     p = normalization_poly(spec.rep, [ModeLabel(i) for i in spec.internal_labels])
     contracted = []
+    counted_swaps = []
     contract_terms = fock.contract_terms
+    count_inversions = composite.inversion_number
 
     def counted(left, right):
         contracted.append(1)
         return contract_terms(left, right)
 
+    def counted_inversions(perm):
+        counted_swaps.append(perm)
+        return count_inversions(perm)
+
     monkeypatch.setattr(fock, "contract_terms", counted)
+    monkeypatch.setattr(composite, "inversion_number", counted_inversions)
     aligned, swapped, exponent = exchange_law(spec)
     assert len(contracted) == 1
+    assert counted_swaps == [block_swap(n)]
     assert (aligned.direct, swapped.exchange, exponent) == (
         p * p,
         QPolynomial.monomial(n * n) * p * p,
@@ -380,7 +387,7 @@ def test_exchange_law_contracts_the_norm_once(monkeypatch, n, rep):
 
 def test_effective_exponent_random_rep():
     rng = random.Random(123)
-    assert effective_exponent(make_spec(3, random_rep(3, rng))) == 9
+    assert exchange_law(make_spec(3, random_rep(3, rng)))[2] == 9
 
 
 def test_split_path_matches_full_contraction_n5_and_law_n6():
@@ -391,7 +398,7 @@ def test_split_path_matches_full_contraction_n5_and_law_n6():
     assert swapped.total == state_scalar_product(left, right)
     p = normalization_poly(spec.rep, [ModeLabel(i) for i in spec.internal_labels])
     assert swapped.exchange == QPolynomial.monomial(25) * p * p
-    assert effective_exponent(spec) == 25
+    assert exchange_law(spec)[2] == 25
     aligned, swapped, exponent = exchange_law(make_spec(6, preset_rep(6, "symmetric")))
     assert exponent == 36
     assert swapped.exchange == QPolynomial.monomial(36) * aligned.direct
@@ -414,22 +421,22 @@ def test_block_swap_inversions():
 
 
 def test_cross_term_zero_for_distinct_tags():
+    distinct = (("t1", "t2"), ("u1", "u2"))
     for n in (1, 2, 3):
         spec = make_spec(n)
-        assert cross_term_magnitude(spec, shared_tags=False) == QPolynomial.zero()
-    assert cross_term_magnitude(
-        make_spec(5, preset_rep(5, "symmetric")), shared_tags=False
-    ) == QPolynomial.zero()
+        assert two_composite_scalar(spec, *distinct).cross == QPolynomial.zero()
+    spec = make_spec(5, preset_rep(5, "symmetric"))
+    assert two_composite_scalar(spec, *distinct).cross == QPolynomial.zero()
 
 
 def test_cross_term_single_constituent_overlap():
     spec = make_spec(1, preset_rep(1, "symmetric"))
-    assert cross_term_magnitude(spec, shared_tags=True) == QPolynomial.zero()
+    assert two_composite_scalar(spec, ("t", "t"), ("t", "t")).cross == QPolynomial.zero()
 
 
 def test_cross_term_two_constituents_overlap():
     spec = make_spec(2, preset_rep(2, "symmetric"))
-    cross = cross_term_magnitude(spec, shared_tags=True)
+    cross = two_composite_scalar(spec, ("t", "t"), ("t", "t")).cross
     oracle = literal_classified(spec, ("t", "t"), ("t", "t"))["cross"]
     assert cross == oracle
     assert not cross.is_zero()

@@ -139,10 +139,22 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-@given(polys, polys)
-def test_arithmetic_results_are_canonical(a, b):
-    for p in (a, a + b, a - b, a * b, -a, a.substitute_power(3), parse_polynomial(str(a))):
+@given(polys, polys, st.integers(min_value=0, max_value=6))
+def test_arithmetic_results_are_canonical(a, b, k):
+    results = (a, a + b, a - b, a * b, -a, a.substitute_power(3), a.shift(k), parse_polynomial(str(a)))
+    for p in results:
         assert canonical(p), p.coefficients
+    assert a.shift(k) == QPolynomial.monomial(k) * a
+
+
+def test_shift_keeps_zero_zero():
+    assert QPolynomial.zero().shift(5).coefficients == ()
+
+
+def test_shift_refuses_a_negative_power():
+    for shift in (QPolynomial.one().shift, QPolynomial.zero().shift, QPolynomial.monomial):
+        with pytest.raises(ContractViolation, match="power must be >= 0"):
+            shift(-1)
 
 
 @given(polys, polys, rationals)
