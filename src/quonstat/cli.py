@@ -1,16 +1,18 @@
 """Command-line surface.  Every subcommand prints deterministic,
 tab-separated output; polynomials use the qpoly text format.
 
+Options come from the one ``COMMANDS`` table: ``--name value`` or
+``--name=value``, never abbreviated; ``-h``/``--help`` prints the usage.
+
 Exit codes: 0 success, 1 contract violations and a closed stdout, 2 parse
 errors.
 """
 
-import argparse
 import os
-import re
 import sys
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import bounds as bounds_mod
 from . import composite as composite_mod
@@ -172,6 +174,8 @@ def _cmd_composite(args) -> int:
 
 
 def _cmd_weo(args) -> int:
+    if args.q not in (-1, 1):
+        raise ParseError(f"--q must be -1 or 1, got {args.q}")
     sign = "bose" if args.q == 1 else "fermi"
     print(composite_mod.weo_limit_check(args.n, sign))
     return 0
@@ -217,82 +221,78 @@ def _cmd_bounds_chain(args) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """Takes '-1e-3', '-inf' or '-nan' after an option as its value, as it
-    takes '-1'; argparse's own pattern reads them as option names."""
+# Each command: its handler, a one-line help and its options, each option
+# as (name, conversion of its value or bool for a flag, required).
+COMMANDS = {
+    "sp": (_cmd_sp, "scalar product of two creation words; labels 'a,b' or 'tag:index'",
+           [("--left", str, True), ("--right", str, True)]),
+    "qperm": (_cmd_qperm, "q-permanent of a file of 0/1 rows", [("--matrix", str, True)]),
+    "norm": (_cmd_norm, "normalization polynomial; --rep is sym, antisym or a coefficient file",
+             [("--n", int, True), ("--rep", str, True)]),
+    "gram": (_cmd_gram, "Gram matrix over the permutation basis; --check-psd needs --q",
+             [("--labels", str, True), ("--q", float, False), ("--check-psd", bool, False)]),
+    "weights": (_cmd_weights, "irrep weights of the n-quon state",
+                [("--n", int, True), ("--q", float, True)]),
+    "composite": (_cmd_composite, "two-composite components; --overlap forces a tag overlap",
+                  [("--n", int, True), ("--rep", str, True), ("--overlap", bool, False)]),
+    "weo": (_cmd_weo, "boundary statistics of an n-constituent composite; --q is -1 or 1",
+            [("--n", int, True), ("--q", int, True)]),
+    "bounds propagate": (_cmd_bounds_propagate, "propagate one deviation bound", [
+        ("--epsilon", float, True), ("--n", int, True), ("--exact", bool, False)]),
+    "bounds chain": (_cmd_bounds_chain, "bounds down a chain such as O16,nucleon:16,quark:3",
+                     [("--input", str, False), ("--path", str, True)]),
+}
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+def _print_help(names) -> int:
+    print("usage: quonstat COMMAND [--option VALUE | --option=VALUE | --flag]...")
+    for name in names:
+        _, about, options = COMMANDS[name]
+        words = (o if kind is bool else f"{o} {o[2:].upper()}" for o, kind, _ in options)
+        words = (w if required else f"[{w}]" for w, (*_, required) in zip(words, options))
+        print(f"\n  quonstat {name} {' '.join(words)}\n      {about}")
+    return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="quonstat",
-        description="Exact quon-algebra scalar products, composite statistics, "
-        "and Pauli-violation bound propagation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sp", help="scalar product of two creation words")
-    p.add_argument("--left", required=True, help="comma-separated labels, 'tag:index' allowed")
-    p.add_argument("--right", required=True)
-    p.set_defaults(func=_cmd_sp)
-
-    p = sub.add_parser("qperm", help="q-permanent of a 0/1 matrix file")
-    p.add_argument("--matrix", required=True, help="tab-separated 0/1 rows")
-    p.set_defaults(func=_cmd_qperm)
-
-    p = sub.add_parser("norm", help="normalization polynomial of a representation")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rep", required=True, help="sym | antisym | coefficient file")
-    p.set_defaults(func=_cmd_norm)
-
-    p = sub.add_parser("gram", help="Gram matrix over the permutation basis")
-    p.add_argument("--labels", required=True)
-    p.add_argument("--q", type=float)
-    p.add_argument("--check-psd", action="store_true")
-    p.set_defaults(func=_cmd_gram)
-
-    p = sub.add_parser("weights", help="irrep weights of the n-quon state")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=float, required=True)
-    p.set_defaults(func=_cmd_weights)
-
-    p = sub.add_parser("composite", help="two-composite components and exchange exponent")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rep", required=True, help="sym | antisym | coefficient file")
-    p.add_argument(
-        "--overlap",
-        action="store_true",
-        help="report the cross component under forced tag overlap",
-    )
-    p.set_defaults(func=_cmd_composite)
-
-    p = sub.add_parser("weo", help="boundary statistics of an n-constituent composite")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, choices=(-1, 1), required=True)
-    p.set_defaults(func=_cmd_weo)
-
-    p = sub.add_parser("bounds", help="limit propagation")
-    bounds_sub = p.add_subparsers(dest="bounds_command", required=True)
-
-    bp = bounds_sub.add_parser("propagate", help="propagate one deviation bound")
-    bp.add_argument("--epsilon", type=float, required=True)
-    bp.add_argument("--n", type=int, required=True)
-    bp.add_argument("--exact", action="store_true")
-    bp.set_defaults(func=_cmd_bounds_propagate)
-
-    bc = bounds_sub.add_parser("chain", help="derive bounds down a constituent chain")
-    bc.add_argument("--input", help="limits file (default: bundled dataset)")
-    bc.add_argument(
-        "--path",
-        required=True,
-        help="comma-separated chain, e.g. 'O16,nucleon:16,quark:3'",
-    )
-    bc.set_defaults(func=_cmd_bounds_chain)
-
-    return parser
+def _parse(argv: list[str]):
+    """The handler that argv names and the namespace of its options; for
+    -h or --help, the help printer and the commands it shows.  A valued
+    option takes the next token whatever it is, so '-1e-3' is a value; a
+    repeated option keeps its last value.  Usage errors raise ParseError."""
+    count = next((i for i, token in enumerate(argv) if token.startswith("-")), len(argv))
+    words, name, tokens = argv[:count], " ".join(argv[:count]), iter(argv[count:])
+    matches = [command for command in COMMANDS if command.split()[:count] == words]
+    if name not in matches:
+        if not matches:
+            raise ParseError(f"unknown command {name!r}; see quonstat --help")
+        if argv[count:count + 1] in (["-h"], ["--help"]):
+            return _print_help, matches
+        raise ParseError(f"expected a command: {', '.join(matches)}")
+    handler, _, options = COMMANDS[name]
+    kinds = {option: kind for option, kind, _ in options}
+    values = {option: False if kind is bool else None for option, kind in kinds.items()}
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _print_help, [name]
+        option, eq, value = token.partition("=")
+        if option not in kinds:
+            raise ParseError(f"quonstat {name} has no option {option!r}")
+        convert = kinds[option]
+        if convert is bool:
+            if eq:
+                raise ParseError(f"{option} takes no value")
+            values[option] = True
+            continue
+        if not eq and (value := next(tokens, None)) is None:
+            raise ParseError(f"{option} needs a value")
+        try:
+            values[option] = convert(value)
+        except ValueError as exc:
+            raise ParseError(f"{option}: {exc}") from None
+    missing = [option for option, _, required in options if required and values[option] is None]
+    if missing:
+        raise ParseError(f"quonstat {name} needs {', '.join(missing)}")
+    return handler, SimpleNamespace(**{o[2:].replace("-", "_"): v for o, v in values.items()})
 
 
 def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
@@ -302,11 +302,11 @@ def _warning_line(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
         with warnings.catch_warnings():
             warnings.showwarning = _warning_line
-            code = args.func(args)
+            code = handler(args)
         # a reader that went away must surface here, not at interpreter exit
         sys.stdout.flush()
         return code

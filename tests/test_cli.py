@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from quonstat import composite, fock
-from quonstat.cli import _parse_rep, main
+from quonstat.cli import COMMANDS, _parse_rep, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -583,9 +583,26 @@ def test_bounds_chain_unknown_species(capsys):
 
 
 def test_unknown_subcommand_exits_2(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["frobnicate"])
-    assert excinfo.value.code == 2
+    code, out, err = run(capsys, "frobnicate")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_names_every_command_and_its_options(capsys, flag):
+    code, out, err = run(capsys, flag)
+    assert (code, err) == (0, "")
+    assert all(f"quonstat {name} " in out for name in COMMANDS)
+    for name, (_, _, options) in COMMANDS.items():
+        # help after an option, as after the command
+        for argv in ([*name.split(), flag], [*name.split(), options[0][0], "1", flag]):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert all(option in out for option, _, _ in options)
+            assert [other for other in COMMANDS if f"quonstat {other} " in out] == [name]
+    code, out, err = run(capsys, "bounds", flag)
+    assert (code, err) == (0, "")
+    assert "quonstat bounds propagate " in out and "quonstat bounds chain " in out
 
 
 def test_output_deterministic_across_runs(capsys):
@@ -621,7 +638,8 @@ def test_every_operation_reachable_from_cli(tmp_path, capsys):
 
 
 START_UP_EXCLUDED = (
-    "numpy", "dataclasses", "inspect", "importlib.resources", "random", "pathlib"
+    "numpy", "dataclasses", "inspect", "importlib.resources", "random", "pathlib",
+    "argparse", "gettext", "locale",
 )
 
 
@@ -650,6 +668,25 @@ def test_cli_import_leaves_numpy_unloaded():
     assert "numpy" not in _loaded_after(argv=gram)
     assert "numpy" not in _loaded_after(argv=[*gram, "--check-psd"])
     assert "numpy" not in _loaded_after(argv=["gram", "--labels", "a,a,b,c", "--q", "0.5", "--check-psd"])
+
+
+def test_no_command_loads_a_start_up_excluded_module(tmp_path):
+    # argparse loads locale on its first translated string, inside main
+    matrix = tmp_path / "m.tsv"
+    matrix.write_text("1\t1\n0\t1\n")
+    for argv in (
+        ["sp", "--left", "a,b", "--right", "b,a"],
+        ["qperm", "--matrix", str(matrix)],
+        ["norm", "--n", "3", "--rep", "sym"],
+        ["gram", "--labels", "a,b", "--q", "-1e-3", "--check-psd"],
+        ["weights", "--n", "3", "--q=0.5"],
+        ["composite", "--n", "2", "--rep", "antisym", "--overlap"],
+        ["weo", "--n", "3", "--q", "-1"],
+        ["bounds", "propagate", "--epsilon", "5e-9", "--n", "16", "--exact"],
+        ["bounds", "chain", "--path", "O16,nucleon:16"],
+        ["--help"],
+    ):
+        assert _loaded_after("-S", argv=argv) == "[]", argv
 
 
 def test_closed_stdout_is_a_one_line_error():
@@ -707,8 +744,8 @@ def numeric(draw, option, values):
 
 
 @st.composite
-def cli_argv(draw, path):
-    """An argv that argparse accepts, with hostile values in its slots;
+def accepted_argv(draw, path):
+    """An argv that the parser accepts, with hostile values in its slots;
     every file slot names ``path``, and a numeric slot is one token or two."""
     rep = draw(st.sampled_from(["sym", "antisym", str(path), "no_such_rep", ""]))
     command = draw(st.sampled_from(
@@ -742,9 +779,46 @@ def cli_argv(draw, path):
     return argv + ["--input", str(path)] * draw(st.booleans())
 
 
+# What cli_argv breaks in an accepted argv; None keeps it as drawn
+USAGE_FAULTS = [None] * 6 + [
+    "unknown command", "bounds alone", "dropped option", "unknown option",
+    "no value", "bad count", "weo sign", "flag value",
+]
+
+
+@st.composite
+def cli_argv(draw, path):
+    """An argv and whether the parser must reject it: an accepted argv, or
+    one broken by a drawn usage fault."""
+    argv = draw(accepted_argv(path))
+    words = 2 if argv[0] == "bounds" else 1
+    # every command's first option is required and takes a value
+    first = argv[words].partition("=")[0]
+    fault = draw(st.sampled_from(USAGE_FAULTS))
+    if fault == "unknown command":
+        argv[:words] = [draw(st.sampled_from(["frobnicate", "Sp", "bound", "bounds propagate"]))]
+    elif fault == "bounds alone":
+        argv = ["bounds"]
+    elif fault == "dropped option":
+        del argv[words:words + (1 if "=" in argv[words] else 2)]
+    elif fault == "unknown option":
+        # argparse took '--lab' for gram's '--labels'
+        argv += ["--lab", "a,b"]
+    elif fault == "no value":
+        argv.append(first)
+    elif fault == "bad count":
+        head = draw(st.sampled_from([["weo", "--q", "1"], ["norm", "--rep", "sym"]]))
+        argv = head + numeric(draw, "--n", st.sampled_from(["x", "7" * 5000, "1.5", ""]))
+    elif fault == "weo sign":
+        argv = ["weo", "--n", "3", *numeric(draw, "--q", st.sampled_from(["0", "2", "-2", "x"]))]
+    elif fault == "flag value":
+        argv = ["bounds", "propagate", "--epsilon", "1e-9", "--n", "4", "--exact=1"]
+    return argv, fault is not None
+
+
 @settings(
     deadline=None,
-    max_examples=150,
+    max_examples=300,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(data=st.data())
@@ -752,9 +826,12 @@ def test_cli_fuzz_exits_cleanly_with_one_line_errors(tmp_path, capsys, data):
     # an exception escaping main fails the test with the argv that raised it
     path = tmp_path / "input.tsv"
     path.write_bytes(data.draw(FILE_CONTENT, label="file"))
-    code = main(data.draw(cli_argv(path), label="argv"))
-    err = capsys.readouterr().err
+    argv, rejected = data.draw(cli_argv(path), label="argv")
+    code = main(argv)
+    out, err = capsys.readouterr()
     assert code in (0, 1, 2)
+    if rejected:
+        assert (code, out) == (2, "")
     lines = err.splitlines()
     assert all(line.startswith(("error: ", "warning: ")) for line in lines), err
     assert sum(line.startswith("error: ") for line in lines) == (code != 0), err
