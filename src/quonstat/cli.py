@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 contract violations and a closed stdout, 2 parse
 errors.
 """
 
+import math
 import os
 import sys
 import warnings
@@ -20,6 +21,16 @@ from . import fock, wick
 from .errors import ContractViolation, ParseError, QuonError, read_text, refuse_above_cap
 from .permutations import RepCoefficients, check_permutation, preset_rep
 from .wick import ModeLabel
+
+
+def _float(raw: str) -> float:
+    """``float`` that refuses a finite literal too large for a float,
+    which ``float`` would turn into an infinity nobody typed; 'inf' and
+    'nan' spelled out pass through to the checks of the command."""
+    value = float(raw)
+    if math.isinf(value) and "inf" not in raw.lower():
+        raise ValueError(f"{raw} is outside the float range")
+    return value
 
 
 def _parse_labels(raw: str) -> tuple[ModeLabel, ...]:
@@ -230,15 +241,15 @@ COMMANDS = {
     "norm": (_cmd_norm, "normalization polynomial; --rep is sym, antisym or a coefficient file",
              [("--n", int, True), ("--rep", str, True)]),
     "gram": (_cmd_gram, "Gram matrix over the permutation basis; --check-psd needs --q",
-             [("--labels", str, True), ("--q", float, False), ("--check-psd", bool, False)]),
+             [("--labels", str, True), ("--q", _float, False), ("--check-psd", bool, False)]),
     "weights": (_cmd_weights, "irrep weights of the n-quon state",
-                [("--n", int, True), ("--q", float, True)]),
+                [("--n", int, True), ("--q", _float, True)]),
     "composite": (_cmd_composite, "two-composite components; --overlap forces a tag overlap",
                   [("--n", int, True), ("--rep", str, True), ("--overlap", bool, False)]),
     "weo": (_cmd_weo, "boundary statistics of an n-constituent composite; --q is -1 or 1",
             [("--n", int, True), ("--q", int, True)]),
     "bounds propagate": (_cmd_bounds_propagate, "propagate one deviation bound", [
-        ("--epsilon", float, True), ("--n", int, True), ("--exact", bool, False)]),
+        ("--epsilon", _float, True), ("--n", int, True), ("--exact", bool, False)]),
     "bounds chain": (_cmd_bounds_chain, "bounds down a chain such as O16,nucleon:16,quark:3",
                      [("--input", str, False), ("--path", str, True)]),
 }

@@ -29,14 +29,17 @@ call on the 2n-operator states.  That is work over S_2n, which the S_k
 cap of ``errors.refuse_above_cap`` refuses for n > 4.
 
 The two whole-block terms are formed once per law: ``_whole_blocks``
-contracts P (one engine call), squares it, counts the crossings c of
-``block_swap`` and shifts P^2 by c, and the split only picks between
-P^2 and q^c * P^2 by the tag test.  ``exchange_law`` feeds the pair to
+forms P once by ``fock.normalization_poly``, squares it, counts the
+crossings c of ``block_swap`` and shifts P^2 by c, and the split only
+picks between P^2 and q^c * P^2 by the tag test.  P of a dense rep,
+such as ``sym`` and ``antisym``, comes from the regular representation
+of S_n and makes no engine call; P of a sparse rep, such as one term,
+is one engine call on n letters.  ``exchange_law`` feeds the pair to
 the split of both the aligned and the swapped product and checks
 c = n^2; ``two_composite_scalar`` forms it only when a whole block
 passes.  ``quonstat composite --overlap`` feeds the law's pair to the
-product of four equal tags, so it makes two engine calls: P and the
-full product.
+product of four equal tags, so it forms one P and makes one engine call
+on 2n letters, the full product.
 """
 
 from typing import Hashable, NamedTuple, Sequence
@@ -100,8 +103,8 @@ def _norm(spec: CompositeSpec) -> QPolynomial:
 
 
 def _whole_blocks(spec: CompositeSpec) -> tuple[QPolynomial, QPolynomial, int]:
-    """P^2 and q^c * P^2 for the composite norm P, from one contraction,
-    and the crossing count c of ``block_swap``."""
+    """P^2 and q^c * P^2 for the composite norm P, formed once, and the
+    crossing count c of ``block_swap``."""
     p = _norm(spec)
     squared = p * p
     crossings = inversion_number(block_swap(spec.n))
@@ -158,10 +161,11 @@ def two_composite_scalar(
     q^crossings * P * P.  A mixed S passes only if a side repeats a tag.
     With distinct tags on both sides the cross component is zero;
     otherwise it is the full product of the two tensor states less the
-    whole-block terms.  Engine calls: one for P, made only if a whole
-    block passes, plus one for the full product if a side repeats a
-    tag; so 1 for aligned or swapped distinct tags, 0 when no block
-    passes, 2 under full overlap.
+    whole-block terms.  P is formed once, and only if a whole block
+    passes: for aligned or swapped tags and under full overlap, not when
+    no block passes.  Engine calls: none for P of a dense rep (one for a
+    sparse rep), plus one on 2n letters for the full product if a side
+    repeats a tag.
     """
     return _split(spec, left_tags, right_tags, None)
 
@@ -171,7 +175,8 @@ def exchange_law(
 ) -> tuple[TwoCompositeResult, TwoCompositeResult, int]:
     """The aligned and swapped two-composite scalar products and the
     verified exponent of the composite exchange parameter, from one
-    contraction of the composite norm P: one engine call in all.
+    composite norm P: for a dense rep no engine call at all, for a
+    sparse rep the one engine call of P.
 
     Asserts the exact identities direct = P^2 and exchange = q^(n^2) *
     direct, plus the n^2 crossing count of the order-preserving block

@@ -14,9 +14,9 @@ Two independent evaluation paths are provided on purpose:
   they are refused above the S_k cap, n > 8;
 * ``scalar_product`` runs the contraction engine ``contract_terms``, which
   applies the left word as quon annihilators to the right word and
-  returns the whole product as one polynomial; the states of ``fock``
-  and the two-composite products of ``composite`` go through the same
-  engine.
+  returns the whole product as one polynomial; the state products of
+  ``fock``, all but the norm of a dense rep, and the two-composite
+  products of ``composite`` go through the same engine.
 
 ``q_permanent`` evaluates the same weighted sum for an arbitrary square
 matrix by a dynamic program over subsets of used columns, with at most

@@ -284,6 +284,36 @@ def test_negative_number_in_exponent_form_is_a_value(capsys, head, option, value
     assert run(capsys, *head, f"{option}={value}", *tail) == expected
 
 
+FLOAT_OPTIONS = [
+    (["gram", "--labels", "a,b"], "--q", [],
+     "error: q must be a finite number, got {value}\n"),
+    (["weights", "--n", "3"], "--q", [], "error: irrep weights require -1 < q < 1\n"),
+    (["bounds", "propagate"], "--epsilon", ["--n", "3"],
+     "error: epsilon must be positive and finite\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "head, option, tail", [o[:3] for o in FLOAT_OPTIONS], ids=["gram", "weights", "propagate"]
+)
+@pytest.mark.parametrize("literal", ["1e400", "-1E400", "123456789e999"])
+def test_float_literal_past_the_float_range_is_a_usage_error(capsys, head, option, tail, literal):
+    # float() turns these into an infinity the user never typed
+    expected = (2, "", f"error: {option}: {literal} is outside the float range\n")
+    assert run(capsys, *head, option, literal, *tail) == expected
+    assert run(capsys, *head, f"{option}={literal}", *tail) == expected
+
+
+@pytest.mark.parametrize("head, option, tail, message", FLOAT_OPTIONS, ids=["gram", "weights", "propagate"])
+@pytest.mark.parametrize("literal", ["inf", "-Infinity", "nan"])
+def test_spelled_out_non_finite_float_reaches_the_command(capsys, head, option, tail, message, literal):
+    code, out, err = run(capsys, *head, option, literal, *tail)
+    assert (code, out) == (1, "")
+    if "{value}" in message:
+        message = message.format(value=float(literal))
+    assert err == message
+
+
 def test_gram_refuses_overflowing_q(capsys):
     for extra in ((), ("--check-psd",)):
         code, out, err = run(capsys, "gram", "--labels", "a,b,c", "--q", "1e200", *extra)
@@ -376,19 +406,26 @@ def test_composite_contracts_each_product_once(monkeypatch, capsys, overlap, ful
     # the aligned and swapped products, plus the four-equal-tag product
     # under --overlap, whose cross term takes the one full contraction of
     # the 2n-operator states; the distinct-tag cross term is the aligned one.
-    # exchange_law contracts the composite norm P and counts the crossings
+    # exchange_law forms the composite norm P and counts the crossings
     # of the block swap once for both of its products and its P^2 check,
-    # and the overlap product reuses the law's two whole-block terms
+    # and the overlap product reuses the law's two whole-block terms.
+    # P of the dense sym rep takes no engine call
     products = []
+    norms = []
     word_lengths = []
     counted_swaps = []
     split = composite._split
+    norm = composite.normalization_poly
     contract_terms = fock.contract_terms
     count_inversions = composite.inversion_number
 
     def counted_products(spec, left_tags, right_tags, blocks):
         products.append((left_tags, right_tags))
         return split(spec, left_tags, right_tags, blocks)
+
+    def counted_norms(rep, labels):
+        norms.append(rep.n)
+        return norm(rep, labels)
 
     def counted_contractions(left, right):
         left = list(left)
@@ -400,6 +437,7 @@ def test_composite_contracts_each_product_once(monkeypatch, capsys, overlap, ful
         return count_inversions(perm)
 
     monkeypatch.setattr(composite, "_split", counted_products)
+    monkeypatch.setattr(composite, "normalization_poly", counted_norms)
     monkeypatch.setattr(fock, "contract_terms", counted_contractions)
     monkeypatch.setattr(composite, "inversion_number", counted_inversions)
     code, out, _ = run(capsys, "composite", "--n", "4", "--rep", "sym", *overlap)
@@ -408,8 +446,8 @@ def test_composite_contracts_each_product_once(monkeypatch, capsys, overlap, ful
     expected = [(("t1", "t2"), ("t1", "t2")), (("t1", "t2"), ("t2", "t1"))]
     expected += [(("t", "t"), ("t", "t"))] * full
     assert sorted(products) == sorted(expected)
-    assert word_lengths.count(8) == full
-    assert len(word_lengths) == 1 + full
+    assert norms == [4]
+    assert word_lengths == [8] * full
     assert counted_swaps == [composite.block_swap(4)]
 
 

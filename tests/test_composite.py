@@ -177,18 +177,30 @@ def test_two_composite_repeated_tag_on_one_side(monkeypatch):
     ],
 )
 def test_two_composite_contracts_the_norm_once(monkeypatch, left_tags, right_tags, calls):
+    # calls counts the norm P, formed once if a whole block passes, and the
+    # full product; P of the dense random rep takes no engine call, so the
+    # full product is the one engine call, on 2n letters
     spec = make_spec(3, random_rep(3, random.Random(7)))
     want = split_buckets(spec, left_tags, right_tags)
-    contracted = []
+    formed = []
+    word_lengths = []
+    norm = composite.normalization_poly
     contract_terms = fock.contract_terms
 
+    def counted_norms(rep, labels):
+        formed.append(rep.n)
+        return norm(rep, labels)
+
     def counted(left, right):
-        contracted.append(1)
+        left = list(left)
+        word_lengths.append(len(left[0][0]))
         return contract_terms(left, right)
 
+    monkeypatch.setattr(composite, "normalization_poly", counted_norms)
     monkeypatch.setattr(fock, "contract_terms", counted)
     got = two_composite_scalar(spec, left_tags, right_tags)
-    assert len(contracted) == calls
+    assert formed == [3] * min(calls, 1)
+    assert word_lengths == [6] * (calls - len(formed))
     assert (got.direct, got.exchange, got.cross) == (want["direct"], want["exchange"], want["cross"])
 
 
@@ -357,13 +369,20 @@ def test_exchange_law_returns_the_products_it_verified():
 @pytest.mark.parametrize("rep", ["symmetric", "antisymmetric", "random"])
 def test_exchange_law_contracts_the_norm_once(monkeypatch, n, rep):
     # one P and one crossing count of the block swap feed the aligned
-    # split, the swapped split and the P^2 check
+    # split, the swapped split and the P^2 check; P of a dense rep takes
+    # no engine call
     spec = make_spec(n, random_rep(n, random.Random(n)) if rep == "random" else preset_rep(n, rep))
     p = normalization_poly(spec.rep, [ModeLabel(i) for i in spec.internal_labels])
+    formed = []
     contracted = []
     counted_swaps = []
+    norm = composite.normalization_poly
     contract_terms = fock.contract_terms
     count_inversions = composite.inversion_number
+
+    def counted_norms(rep, labels):
+        formed.append(rep.n)
+        return norm(rep, labels)
 
     def counted(left, right):
         contracted.append(1)
@@ -373,10 +392,12 @@ def test_exchange_law_contracts_the_norm_once(monkeypatch, n, rep):
         counted_swaps.append(perm)
         return count_inversions(perm)
 
+    monkeypatch.setattr(composite, "normalization_poly", counted_norms)
     monkeypatch.setattr(fock, "contract_terms", counted)
     monkeypatch.setattr(composite, "inversion_number", counted_inversions)
     aligned, swapped, exponent = exchange_law(spec)
-    assert len(contracted) == 1
+    assert formed == [n]
+    assert contracted == []
     assert counted_swaps == [block_swap(n)]
     assert (aligned.direct, swapped.exchange, exponent) == (
         p * p,

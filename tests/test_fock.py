@@ -137,19 +137,29 @@ def test_states_hold_ints_where_integral():
 
 @pytest.mark.parametrize("kind", ["symmetric", "antisymmetric"])
 def test_normalization_poly_contracts_int_coefficients(monkeypatch, kind):
+    # a preset is dense: its norm packs the rep's int coefficients over
+    # S_4 as they are, with no denominator, and takes no engine call
     seen = []
-    contract_terms = fock.contract_terms
+    cleared = []
+    clear_denominators = fock._clear_denominators
 
-    def spy(left, right):
-        left, right = list(left), list(right)
-        seen.extend(type(c) for _, c in left + right)
-        return contract_terms(left, right)
+    def spy(values):
+        values = list(values)
+        seen.extend(map(type, values))
+        out = clear_denominators(values)
+        cleared.append(out[1])
+        return out
 
-    monkeypatch.setattr(fock, "contract_terms", spy)
+    def no_engine(left, right):
+        raise AssertionError("the norm of a dense rep must not call the engine")
+
+    monkeypatch.setattr(fock, "_clear_denominators", spy)
+    monkeypatch.setattr(fock, "contract_terms", no_engine)
     norm = normalization_poly(preset_rep(4, kind), labels(4))
     assert norm == (q_factorial(4) if kind == "symmetric" else signed_q_factorial(4)) * 24
     assert {type(c) for c in norm.coefficients} == {int}
-    assert len(seen) == 2 * 24 and set(seen) == {int}
+    assert len(seen) == 24 and set(seen) == {int}
+    assert cleared == [1]
 
 
 def test_normalization_poly_examples():
@@ -166,7 +176,7 @@ def test_normalization_poly_rejects_repeated_labels():
 
 
 def test_normalization_closed_forms():
-    for n in range(1, 6):
+    for n in range(1, 9):
         n_fact = math.factorial(n)
         assert normalization_poly(preset_rep(n, "symmetric"), labels(n)) == (
             n_fact * q_factorial(n)
@@ -202,6 +212,69 @@ def test_normalization_matches_brute_force_double_sum():
                 power = inversion_number(compose(inverse(p), s))
                 expected = expected + cp * cs * QPolynomial.monomial(power)
         assert normalization_poly(rep, labels(n)) == expected
+
+
+def _rep_on(n, support, rng, fraction):
+    """A rep over ``support`` with nonzero coefficients of mixed sign,
+    Fractions with denominators up to 4 when ``fraction``."""
+    coeffs = {}
+    for p in support:
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        coeffs[p] = Fraction(c, rng.randint(1, 4)) if fraction else c
+    if fraction:
+        coeffs[support[0]] = Fraction(1, 3)
+    return RepCoefficients(n, coeffs)
+
+
+def _cancelling_reps(n, fraction):
+    """Reps whose coefficients sum to zero or alternate in sign, so the
+    sums inside the norm cancel: the sign rep, and +1 / -1 by whether
+    the first image is below the last."""
+    unit = Fraction(1, 3) if fraction else 1
+    signs = preset_rep(n, "antisymmetric").coeffs
+    yield RepCoefficients(n, {p: unit * c for p, c in signs.items()})
+    if n >= 2:
+        yield RepCoefficients(n, {p: unit if p[0] < p[-1] else -unit for p in signs})
+
+
+@pytest.mark.parametrize("fraction", [False, True], ids=["int", "fraction"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_normalization_poly_matches_the_engine(monkeypatch, n, fraction):
+    # the dense path against the engine's contraction of the state with
+    # itself, on both sides of the rule s * n >= n! and on reps that cancel
+    rng = random.Random(100 * n + fraction)
+    perms = list(all_permutations(n))
+    n_fact = math.factorial(n)
+    sizes = sorted({s for s in (1, n_fact // n - 1, n_fact // n, n_fact) if s >= 1})
+    reps = [_rep_on(n, rng.sample(perms, s), rng, fraction) for s in sizes]
+    reps += _cancelling_reps(n, fraction)
+    dense = []
+    regular_norm = fock._regular_norm
+
+    def spy(rep):
+        dense.append(rep)
+        return regular_norm(rep)
+
+    monkeypatch.setattr(fock, "_regular_norm", spy)
+    for rep in reps:
+        state = build_state(labels(n), rep)
+        want = state_scalar_product(state, state)
+        got = normalization_poly(rep, labels(n))
+        assert got == want
+        assert list(map(type, got.coefficients)) == list(map(type, want.coefficients))
+    assert dense == [rep for rep in reps if len(rep.coeffs) * n >= n_fact]
+
+
+def test_normalization_poly_checks_its_labels_on_both_paths():
+    sparse = RepCoefficients(4, {(1, 2, 3, 4): 1})
+    for rep in (preset_rep(4, "symmetric"), sparse):
+        with pytest.raises(UnsupportedError):
+            normalization_poly(rep, (A, B, A, C))
+        with pytest.raises(ContractViolation) as built:
+            build_state((A, B, C), rep)
+        with pytest.raises(ContractViolation) as normed:
+            normalization_poly(rep, (A, B, C))
+        assert str(normed.value) == str(built.value) == "got 3 labels for a rep over S_4"
 
 
 def test_gram_two_distinct_orders():
