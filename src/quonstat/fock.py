@@ -58,17 +58,9 @@ from .permutations import (
     orthogonal_form,
     partitions,
 )
-from .qpoly import Coefficient, QPolynomial, _exact
+from .qpoly import Coefficient, QPolynomial, _clear_denominators, _exact, _field_width, _unpack
 from .record import Record
-from .wick import (
-    ModeLabel,
-    Word,
-    _clear_denominators,
-    _field_width,
-    _unpack,
-    contract_terms,
-    scalar_product,
-)
+from .wick import ModeLabel, Word, contract_terms, scalar_product
 
 
 class StateVector(Record):
@@ -177,10 +169,10 @@ def _regular_norm(rep: RepCoefficients) -> QPolynomial:
     every step gathers the vector through the index table of one s_i and
     adds the start vector to it shifted by one power of q.
 
-    Entries are packed polynomials as in the engine, with the engine's
-    field bound for the same product, n! * (sum|c|)^2: a coefficient of
-    the norm sums c(P) c(R) over pairs (P, R), so it is at most
-    (sum|c|)^2 in magnitude.
+    Entries are polynomials packed by the codec of ``qpoly``, as in the
+    engine, with the engine's field bound for the same product,
+    n! * (sum|c|)^2: a coefficient of the norm sums c(P) c(R) over pairs
+    (P, R), so it is at most (sum|c|)^2 in magnitude.
     """
     n = rep.n
     coeffs, scale = _clear_denominators(
@@ -379,10 +371,7 @@ def psd_report(
     if tolerance is not None and not 0 < tolerance < math.inf:
         raise ContractViolation(f"tolerance must be positive and finite, got {tolerance}")
     x = _finite_q(q_value)
-    # q^top by the repeated products of QPolynomial.evaluate
-    top_power = 1.0
-    for _ in range(n * (n - 1) // 2):
-        top_power *= x
+    top_power = QPolynomial.monomial(n * (n - 1) // 2).evaluate(x)
     if not math.isfinite(top_power):
         raise ContractViolation(f"the Gram matrix overflows a float at q = {q_value}")
     counts: dict = {}

@@ -7,6 +7,16 @@ of amplitudes is structural equality.  The canonical form stores ascending
 powers with the trailing (highest-power) coefficient nonzero; the zero
 polynomial is the empty coefficient tuple.
 
+The heavy computations hold each polynomial as one integer with a
+fixed-width signed field per power of q (Kronecker substitution), and
+this module owns that codec: ``_clear_denominators`` scales rationals to
+integers over one common denominator, ``_field_width`` sizes a field for
+a magnitude bound, ``_pack`` encodes and ``_unpack`` decodes back to the
+canonical form.  So a shift by q^j is one ``<<``, a merge one ``+`` and
+a product of polynomials one integer product.  The contraction engine
+and the subset DP of ``wick``, the dense norm of ``fock`` and
+``QPolynomial`` multiplication are its clients.
+
 >>> p = QPolynomial([1, 1])          # 1 + q
 >>> str(p * p)
 '1 + 2*q + q^2'
@@ -14,9 +24,10 @@ polynomial is the empty coefficient tuple.
 Fraction(3, 2)
 """
 
+import math
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import ContractViolation, ParseError
 from .record import Record
@@ -30,10 +41,14 @@ _TERM_PATTERN = r"^(?:(?P<coef>\d+(?:/\d+)?)\*?)?(?P<var>q(?:\^(?P<exp>\d+))?)?$
 def _exact(value) -> Coefficient:
     """``value`` as an exact coefficient in canonical form: an int when it
     is integral, a Fraction otherwise.  The two compare and hash alike, so
-    either form works as a key or in an equality test."""
+    either form works as a key or in an equality test.  An infinity or a
+    NaN has no exact value and is refused."""
     if type(value) is int:
         return value
-    value = Fraction(value)
+    try:
+        value = Fraction(value)
+    except (OverflowError, ValueError):
+        raise ContractViolation(f"coefficient {value} is not a finite rational") from None
     return value.numerator if value.denominator == 1 else value
 
 
@@ -42,6 +57,50 @@ def _trim(coeffs: Iterable) -> tuple:
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
+
+
+def _clear_denominators(values: Iterable) -> tuple[list[int], int]:
+    """Integers proportional to ``values`` and the common denominator
+    they were multiplied by; integers are returned as they are."""
+    values = list(values)
+    if all(type(v) is int for v in values):
+        return values, 1
+    values = list(map(_exact, values))
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _field_width(bound: int) -> int:
+    """Bits of a signed field that holds every integer of magnitude <= bound."""
+    return bound.bit_length() + 1
+
+
+def _pack(ints: Sequence[int], width: int) -> int:
+    """Encode integers as one: field k of ``width`` signed bits holds the
+    k-th integer, each of magnitude below 2^(width - 1)."""
+    value = 0
+    for c in reversed(ints):
+        value = (value << width) + c
+    return value
+
+
+def _unpack(value: int, width: int, denominator: int) -> "QPolynomial":
+    """Decode a packed polynomial: field k of ``width`` signed bits holds
+    the coefficient of q^k times ``denominator``.  At ``denominator`` 1
+    the fields are the coefficients, as ints; else each is divided and
+    put in the canonical form of ``_exact``."""
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    coeffs = []
+    while value:
+        field = value & mask
+        if field >= half:
+            field -= 1 << width
+        coeffs.append(field)
+        value = (value - field) >> width
+    if denominator != 1:
+        coeffs = [_exact(Fraction(c, denominator)) for c in coeffs]
+    return QPolynomial._from_trimmed(tuple(coeffs))
 
 
 class QPolynomial(Record):
@@ -142,16 +201,13 @@ class QPolynomial(Record):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coefficients, other.coefficients
-        if not a or not b:
+        if not self.coefficients or not other.coefficients:
             return QPolynomial.zero()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return QPolynomial._from_trimmed(_trim(out))
+        a, a_scale = _clear_denominators(self.coefficients)
+        b, b_scale = _clear_denominators(other.coefficients)
+        # a coefficient of the product sums at most min(len) products
+        width = _field_width(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
+        return _unpack(_pack(a, width) * _pack(b, width), width, a_scale * b_scale)
 
     __rmul__ = __mul__
 

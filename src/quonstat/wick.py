@@ -22,20 +22,18 @@ Two independent evaluation paths are provided on purpose:
 matrix by a dynamic program over subsets of used columns, with at most
 O(2^n * n) steps: a flat list holds one slot per column mask, and each
 row visits only the masks the previous row reached.  The engine and the
-DP hold each polynomial as one integer with a fixed-width signed field
-per coefficient (Kronecker substitution), so a shift by q^j is one
-``<<`` and a merge one ``+``.
+DP hold each polynomial packed as one integer, in the codec that
+``qpoly`` owns, so a shift by q^j is one ``<<`` and a merge one ``+``.
 
 All paths return exact `QPolynomial` values and must agree identically.
 """
 
 import math
-from fractions import Fraction
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import Q_PERMANENT_CAP, CapExceeded, ContractViolation
 from .permutations import all_permutations, inversion_number
-from .qpoly import QPolynomial, _exact
+from .qpoly import QPolynomial, _clear_denominators, _field_width, _unpack
 
 
 class ModeLabel(NamedTuple):
@@ -60,41 +58,6 @@ Word = tuple[ModeLabel, ...]
 def delta_matrix(left: Sequence[ModeLabel], right: Sequence[ModeLabel]) -> list[list[int]]:
     """0/1 matrix of label coincidences, entry (i, j) = delta(left_i, right_j)."""
     return [[1 if a == b else 0 for b in right] for a in left]
-
-
-def _clear_denominators(values: Iterable) -> tuple[list[int], int]:
-    """Integers proportional to ``values`` and the common denominator
-    they were multiplied by; integers are returned as they are."""
-    values = list(values)
-    if all(type(v) is int for v in values):
-        return values, 1
-    values = [v if isinstance(v, int) else Fraction(v) for v in values]
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
-def _field_width(bound: int) -> int:
-    """Bits of a signed field that holds every integer of magnitude <= bound."""
-    return bound.bit_length() + 1
-
-
-def _unpack(value: int, width: int, denominator: int) -> QPolynomial:
-    """Decode a packed polynomial: field k of ``width`` signed bits holds
-    the coefficient of q^k times ``denominator``.  At ``denominator`` 1
-    the fields are the coefficients, as ints; else each is divided and
-    put in the canonical form of ``qpoly._exact``."""
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
-    coeffs = []
-    while value:
-        field = value & mask
-        if field >= half:
-            field -= 1 << width
-        coeffs.append(field)
-        value = (value - field) >> width
-    if denominator != 1:
-        coeffs = [_exact(Fraction(c, denominator)) for c in coeffs]
-    return QPolynomial._from_trimmed(tuple(coeffs))
 
 
 def q_permanent(matrix: Sequence[Sequence]) -> QPolynomial:

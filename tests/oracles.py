@@ -1,6 +1,6 @@
 """Test-only reference implementations, kept independent of the
-contraction engine in ``quonstat.wick`` and of the float evaluation in
-``quonstat.qpoly`` so the tests can check them."""
+contraction engine in ``quonstat.wick`` and of the packed product and the
+float evaluation in ``quonstat.qpoly`` so the tests can check them."""
 
 import math
 from fractions import Fraction
@@ -22,7 +22,7 @@ from quonstat import (
     q_permanent,
 )
 from quonstat.errors import Q_PERMANENT_CAP
-from quonstat.wick import _clear_denominators, _field_width, _unpack
+from quonstat.qpoly import _clear_denominators, _field_width, _unpack
 
 # The character tables of S_2..S_4 as they were once bundled with the
 # package, typed from the textbook tables: (cycle type, class size) per
@@ -155,6 +155,21 @@ def pairwise_dp_scalar(left: StateVector, right: StateVector) -> QPolynomial:
     return QPolynomial(acc)
 
 
+def schoolbook_product(a: QPolynomial, b: QPolynomial) -> QPolynomial:
+    """Reference for ``QPolynomial.__mul__``: the double loop over
+    coefficient pairs, in exact arithmetic, with no packing."""
+    x, y = a.coefficients, b.coefficients
+    if not x or not y:
+        return QPolynomial.zero()
+    out = [0] * (len(x) + len(y) - 1)
+    for i, ca in enumerate(x):
+        if not ca:
+            continue
+        for j, cb in enumerate(y):
+            out[i + j] += ca * cb
+    return QPolynomial(out)
+
+
 def mixed_horner(poly: QPolynomial, x: float) -> float:
     """Float Horner evaluation that adds the Fraction coefficients to the
     float accumulator directly, through Fraction's mixed-type operators."""
@@ -275,8 +290,8 @@ def shuffle_split_scalar(
 def level_dp_q_permanent(matrix) -> QPolynomial:
     """Reference for ``q_permanent`` past the brute-force cap: the subset
     DP with one dict of column masks per row, as ``q_permanent`` once ran
-    it.  It shares only the packing helpers of ``quonstat.wick``, which
-    the brute-force oracle checks at n <= 8.
+    it.  It shares only the packed-polynomial codec of ``quonstat.qpoly``,
+    which the brute-force oracle checks at n <= 8.
 
     Subset dynamic program: rows are processed in order; a state is the
     set of used columns.  Assigning column j at row i adds one inversion

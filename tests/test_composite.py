@@ -8,7 +8,7 @@ from itertools import permutations as bijections
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import pairwise_dp_scalar, shuffle_split_scalar
+from oracles import pairwise_dp_scalar, schoolbook_product, shuffle_split_scalar
 
 from quonstat import (
     CapExceeded,
@@ -475,3 +475,14 @@ def test_weo_limit_table():
         weo_limit_check(2, "anyon")
     with pytest.raises(ContractViolation):
         weo_limit_check(0, "bose")
+
+
+def test_whole_blocks_square_matches_the_schoolbook_product():
+    # P * P at n = 8 is the one polynomial product of ``composite --n 8 --rep sym``
+    spec = make_spec(8, preset_rep(8, "symmetric"))
+    p = normalization_poly(spec.rep, [ModeLabel(i) for i in spec.internal_labels])
+    squared, exchange, crossings = composite._whole_blocks(spec)
+    expected = schoolbook_product(p, p)
+    assert squared.coefficients == expected.coefficients
+    assert {type(c) for c in squared.coefficients} == {int}
+    assert exchange == expected.shift(crossings) and crossings == 64

@@ -747,3 +747,9 @@ def test_irrep_weights_range_checks():
         irrep_weights(9, 0.0)
     with pytest.raises(ContractViolation):
         irrep_weights(2, 1.0)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_state_vector_refuses_a_non_finite_coefficient(value):
+    with pytest.raises(ContractViolation, match=f"coefficient {value} is not a finite rational"):
+        StateVector({(A,): value})

@@ -292,3 +292,9 @@ def test_partitions_dominance_and_names():
     assert dominates((3, 1), (2, 2)) and not dominates((2, 2), (3, 1))
     assert dominates((2, 2), (2, 1, 1)) and dominates((4,), (1, 1, 1, 1))
     assert not dominates((3, 1, 1, 1), (2, 2, 2)) and not dominates((2, 2, 2), (3, 1, 1, 1))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+def test_rep_coefficients_refuse_a_non_finite_coefficient(value):
+    with pytest.raises(ContractViolation, match=f"coefficient {value} is not a finite rational"):
+        RepCoefficients(2, {(1, 2): value})

@@ -3,12 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quonstat import ContractViolation, ParseError, QPolynomial, parse_polynomial
+from quonstat.qpoly import _clear_denominators, _field_width, _pack, _unpack
 
-from oracles import mixed_horner
+from oracles import mixed_horner, schoolbook_product
 
 ONE_PLUS_Q = QPolynomial([1, 1])
 ONE_MINUS_Q = QPolynomial([1, -1])
@@ -181,3 +182,54 @@ def test_float_evaluation_is_bit_identical_to_mixed_horner(p, x):
     value = p.evaluate(x)
     assert isinstance(value, float)
     assert value == mixed_horner(p, x)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_coefficient_is_a_contract_violation(value):
+    with pytest.raises(ContractViolation, match=f"coefficient {value} is not a finite rational"):
+        QPolynomial([1, value])
+
+
+BIG = 10**40
+codec_values = st.lists(
+    st.one_of(
+        st.just(0),
+        st.integers(min_value=-BIG, max_value=BIG),
+        st.fractions(min_value=-BIG, max_value=BIG, max_denominator=10**6),
+    ),
+    max_size=30,
+)
+
+
+@given(codec_values)
+@example([BIG, -BIG, 0])
+@example([0, Fraction(-BIG, 7), Fraction(1, 3)])
+@example([0, 0])
+def test_codec_round_trip(values):
+    # the widest field, |c| = max |c|, sits at the bound of its width
+    ints, scale = _clear_denominators(values)
+    width = _field_width(max(map(abs, ints), default=0))
+    decoded = _unpack(_pack(ints, width), width, scale)
+    expected = QPolynomial(values)
+    assert decoded.coefficients == expected.coefficients
+    assert list(map(type, decoded.coefficients)) == list(map(type, expected.coefficients))
+
+
+int_polys = st.lists(st.integers(min_value=-(10**12), max_value=10**12), max_size=60)
+fraction_polys = st.lists(
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4), max_size=60
+)
+# every product at the largest magnitude and of one sign: the sums reach the field bound
+constant_polys = st.builds(
+    lambda c, k: [c] * k, st.integers(min_value=-(10**20), max_value=10**20), st.integers(0, 60)
+)
+product_polys = st.one_of(int_polys, fraction_polys, constant_polys).map(QPolynomial)
+
+
+@given(product_polys, product_polys)
+@example(QPolynomial([1] * 60), QPolynomial([1] * 60))
+@example(QPolynomial([-1] * 60), QPolynomial([1] * 3))
+def test_mul_matches_the_schoolbook_product(a, b):
+    product, expected = a * b, schoolbook_product(a, b)
+    assert product.coefficients == expected.coefficients
+    assert list(map(type, product.coefficients)) == list(map(type, expected.coefficients))

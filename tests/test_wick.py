@@ -293,3 +293,9 @@ def test_engine_and_dp_results_hold_ints_where_integral():
     halves = contract_terms([(word, Fraction(1, 2))], [(word, 2), (word[::-1], Fraction(1, 2))])
     assert halves.coefficients == (1, Fraction(1, 4)) and types(halves) == (int, Fraction)
     assert set(types(scalar_product((K, K, K1), (K1, K, K)))) == {int}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_q_permanent_refuses_a_non_finite_entry(value):
+    with pytest.raises(ContractViolation, match=f"coefficient {value} is not a finite rational"):
+        q_permanent([[value]])
