@@ -183,6 +183,8 @@ def exchange_law(
     swap.  Any failure raises TheoremViolation.  Both products come from
     the split of ``two_composite_scalar``, fed the one pair P^2 and
     q^(n^2) * P^2; direct = P^2 checks which block the split let pass.
+    Once c = n^2 and direct = P^2 hold, exchange = q^(n^2) * direct is
+    checked against that q^(n^2) * P^2, so no second shift is formed.
     """
     n = spec.n
     squared, shifted, crossings = _whole_blocks(spec)
@@ -195,7 +197,7 @@ def exchange_law(
         raise TheoremViolation("direct component does not equal the squared normalization polynomial")
     if (aligned.exchange, aligned.cross) != (zero, zero):
         raise TheoremViolation("aligned tags produced non-direct components")
-    if swapped.exchange != aligned.direct.shift(n * n):
+    if swapped.exchange != shifted:
         raise TheoremViolation("exchange component is not q^(n^2) times the direct component")
     if (swapped.direct, swapped.cross) != (zero, zero):
         raise TheoremViolation("swapped tags produced non-exchange components")

@@ -29,8 +29,11 @@ that matrix is X_n = sum_P q^inv(P) P in the regular representation
 (times the sum over the place permutations of equal labels), so its
 spectrum is that of the irrep blocks rho(X_n), each at most 16 x 16 at
 n = 6 (Zagier, Commun. Math. Phys. 147 (1992) 199).  The blocks are
-built in Young's orthogonal form through the coset factorization of X_n
-and their eigenvalues found by Jacobi rotations, in plain Python floats.
+built through the coset factorization of X_n on the exact rational
+generators of Young's seminormal form, converted to floats once; each
+block is then symmetrized into the block of Young's orthogonal form, a
+diagonal conjugate with the same spectrum, and its eigenvalues are found
+by Jacobi rotations, in plain Python floats.
 """
 
 import math
@@ -55,8 +58,8 @@ from .permutations import (
     dominates,
     inversion_number,
     irrep_name,
-    orthogonal_form,
     partitions,
+    seminormal_form,
 )
 from .qpoly import Coefficient, QPolynomial, _clear_denominators, _exact, _field_width, _unpack
 from .record import Record
@@ -403,9 +406,10 @@ def psd_report(
 
 
 def irrep_blocks(n: int, q_value: float) -> dict[str, list[list[float]]]:
-    """rho(X_n) at q on every irrep of S_n, X_n = sum_P q^inv(P) P, in
-    Young's orthogonal form and divided by |q|^(n(n-1)/2) when |q| > 1;
-    keyed by ``irrep_name``.  Each block is symmetric, and the Gram matrix
+    """rho(X_n) at q on every irrep of S_n, X_n = sum_P q^inv(P) P, built
+    in Young's seminormal form and returned symmetric, in the basis of
+    Young's orthogonal form (see ``_irrep_block``), divided by
+    |q|^(n(n-1)/2) when |q| > 1; keyed by ``irrep_name``.  The Gram matrix
     of the permutation basis of n distinct labels is the regular
     representation of X_n: it holds each block dim times."""
     if n < 1:
@@ -417,9 +421,16 @@ def irrep_blocks(n: int, q_value: float) -> dict[str, list[list[float]]]:
 def _irrep_block(shape: tuple[int, ...], x: float) -> list[list[float]]:
     """rho(X_n) by the coset factorization X_n = X_{n-1} T_n over the
     minimal coset representatives, T_k = sum_{j<k} q^j s_{k-1} .. s_{k-j}:
-    each T_k costs k-1 products with a sparse generator.  When |q| > 1,
-    T_k is divided by |q|^(k-1), so no entry exceeds n! in magnitude."""
-    dimension, generators = orthogonal_form(shape)
+    each T_k costs k-1 products with a sparse generator of the seminormal
+    form, whose exact entries are converted to floats once.  When |q| > 1,
+    T_k is divided by |q|^(k-1), so no entry exceeds n! in magnitude.
+
+    The seminormal block B is D^-1 O D for the block O of Young's
+    orthogonal form and a positive diagonal D, so B_ab B_ba = O_ab^2 and
+    the block returned, sign(B_ab) sqrt(B_ab B_ba) for a < b mirrored
+    below the diagonal, is the symmetric O up to rounding."""
+    dimension, exact = seminormal_form(shape)
+    generators = [(list(map(float, d)), p, list(map(float, c))) for d, p, c in exact]
     block = [[float(a == b) for b in range(dimension)] for a in range(dimension)]
     m = max(1.0, abs(x))
     for k in range(2, len(generators) + 2):
@@ -435,14 +446,19 @@ def _irrep_block(shape: tuple[int, ...], x: float) -> list[list[float]]:
             w = weights[j]
             total = [[t + w * v for t, v in zip(trow, srow)] for trow, srow in zip(total, step)]
         block = total
+    for a in range(dimension):
+        for b in range(a + 1, dimension):
+            # O_ab^2 >= 0, so a negative product is rounding of a zero
+            product = block[a][b] * block[b][a]
+            block[a][b] = block[b][a] = math.copysign(math.sqrt(abs(product)), block[a][b])
     return block
 
 
 def _min_eigenvalue(block: list[list[float]]) -> float:
     """Smallest eigenvalue of a symmetric matrix, by cyclic Jacobi
-    rotations on its symmetrized copy."""
+    rotations on a copy."""
     d = len(block)
-    a = [[(block[i][j] + block[j][i]) / 2 for j in range(d)] for i in range(d)]
+    a = [row[:] for row in block]
     for sweep in range(50):
         rotated = False
         for p in range(d - 1):

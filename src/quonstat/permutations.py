@@ -1,6 +1,6 @@
 """Permutations of S_n in one-line notation, representation coefficients,
 the character tables of S_n, computed by the Murnaghan-Nakayama rule, and
-Young's orthogonal form of each irrep.
+Young's seminormal form of each irrep, with exact rational entries.
 
 A permutation is a tuple of the images of 1..n, e.g. ``(2, 1, 3)`` swaps
 the first two places.  Throughout the package permutations act as *place*
@@ -13,8 +13,10 @@ so they stay meaningful when labels repeat.
 -1
 """
 
+import bisect
 import functools
 import math
+from fractions import Fraction
 from itertools import permutations as _itertools_permutations
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
@@ -42,14 +44,15 @@ def identity(n: int) -> Permutation:
 
 def inversion_number(p: Permutation) -> int:
     """Number of pairs i<j with p[i] > p[j]; equals the minimum crossing
-    count of the contraction diagram of p."""
+    count of the contraction diagram of p.  Each image, read from the
+    right, is inserted into the sorted images after it, and its place
+    there counts the smaller ones."""
     count = 0
-    n = len(p)
-    for i in range(n):
-        pi = p[i]
-        for j in range(i + 1, n):
-            if pi > p[j]:
-                count += 1
+    later: list[int] = []
+    for x in reversed(p):
+        place = bisect.bisect_left(later, x)
+        count += place
+        later.insert(place, x)
     return count
 
 
@@ -171,7 +174,7 @@ class CharacterTable(NamedTuple):
         raise ContractViolation(f"unknown irrep {label!r}")
 
     def character(self, label: str, p: Permutation) -> int:
-        shape = cycle_type(p)
+        shape = cycle_type(check_permutation(p))
         ci = next((i for i, (ct, _) in enumerate(self.classes) if ct == shape), None)
         if ci is None:
             raise ContractViolation(f"{p!r} is not an element of S_{self.n}")
@@ -264,63 +267,64 @@ def character_table(n: int) -> CharacterTable:
     return CharacterTable(n=n, classes=tuple(classes), irreps=tuple(irreps))
 
 
-# One generator s_i of Young's orthogonal form: per basis tableau T, the
+# One generator s_i of Young's seminormal form: per basis tableau T, the
 # diagonal entry, the index of s_i T (T itself when s_i T is not standard)
-# and the entry that couples them.
-Generator = tuple[tuple[float, ...], tuple[int, ...], tuple[float, ...]]
+# and the entry that couples them, each an int or a Fraction.
+Generator = tuple[tuple[Coefficient, ...], tuple[int, ...], tuple[Coefficient, ...]]
 
 
-class OrthogonalForm(NamedTuple):
+class SeminormalForm(NamedTuple):
     dimension: int
     generators: tuple[Generator, ...]  # s_1 .. s_{n-1}
 
 
 @functools.lru_cache(maxsize=None)
-def orthogonal_form(shape: tuple[int, ...]) -> OrthogonalForm:
-    """Young's orthogonal form of the irrep of ``shape``: the matrices of
+def seminormal_form(shape: tuple[int, ...]) -> SeminormalForm:
+    """Young's seminormal form of the irrep of ``shape``: the matrices of
     the adjacent transpositions s_1 .. s_{n-1}, one `Generator` each, on
-    the basis of standard tableaux.
+    the basis of standard tableaux (Okounkov and Vershik, Selecta Math. 2
+    (1996) 581).
 
     With c(k) = column - row of the box holding k and r = c(i+1) - c(i),
-    rho(s_i) e_T = (1/r) e_T + sqrt(1 - 1/r^2) e_{s_i T}: +1 when i and
-    i+1 share a row, -1 when they share a column.  Every matrix is real,
-    symmetric and orthogonal, so rho(P^-1) is the transpose of rho(P).
+    rho(s_i) e_T = (1/r) e_T + a e_{s_i T}, where a is 1 when i sits in a
+    higher row of T than i+1 and 1 - 1/r^2 otherwise, so the couplings of
+    T and s_i T multiply to 1 - 1/r^2 > 0; when s_i T is not standard, i
+    and i+1 share a row (r = 1) or a column (r = -1) and a = 0.  Every
+    entry is exact, in ``qpoly._exact`` form.  The matrices are a positive
+    diagonal conjugate of Young's orthogonal form, whose entries
+    sqrt(1 - 1/r^2) this form avoids.
     """
     n = sum(shape)
     if n < 1 or list(shape) != sorted(shape, reverse=True) or min(shape) < 1:
         raise ContractViolation(f"{shape!r} is not a partition")
     refuse_above_cap(n)
-    # a standard tableau as the row of each entry 1..n, in lexicographic order
+    # a standard tableau as the row of each entry 1..n, in lexicographic
+    # order, with the content of each entry
     tableaux = []
 
-    def fill(rows: tuple[int, ...], lengths: list[int]) -> None:
+    def fill(rows: tuple[int, ...], contents: tuple[int, ...], lengths: list[int]) -> None:
         if len(rows) == n:
-            tableaux.append(rows)
+            tableaux.append((rows, contents))
             return
         for r, part in enumerate(shape):
             if lengths[r] < part and (r == 0 or lengths[r - 1] > lengths[r]):
                 lengths[r] += 1
-                fill(rows + (r,), lengths)
+                fill(rows + (r,), contents + (lengths[r] - 1 - r,), lengths)
                 lengths[r] -= 1
 
-    fill((), [0] * len(shape))
-    index = {rows: a for a, rows in enumerate(tableaux)}
-    contents = []
-    for rows in tableaux:
-        lengths = [0] * len(shape)
-        content = []
-        for r in rows:
-            content.append(lengths[r] - r)
-            lengths[r] += 1
-        contents.append(content)
+    fill((), (), [0] * len(shape))
+    index = {rows: a for a, (rows, _) in enumerate(tableaux)}
+    # 1/r and 1 - 1/r^2 for every content difference 0 < |r| < n, built once
+    table = {r: (_exact(Fraction(1, r)), Fraction(r * r - 1, r * r)) for r in range(1 - n, n) if r}
     generators = []
     for i in range(n - 1):
         diagonal, partner, coupling = [], [], []
-        for a, rows in enumerate(tableaux):
-            inverse_r = 1 / (contents[a][i + 1] - contents[a][i])
-            swapped = rows[:i] + (rows[i + 1], rows[i]) + rows[i + 2 :]
+        for a, (rows, contents) in enumerate(tableaux):
+            inverse_r, coupled = table[contents[i + 1] - contents[i]]
+            swapped = index.get(rows[:i] + (rows[i + 1], rows[i]) + rows[i + 2 :], a)
             diagonal.append(inverse_r)
-            partner.append(index.get(swapped, a))
-            coupling.append(math.sqrt(1 - inverse_r * inverse_r))
+            partner.append(swapped)
+            higher = rows[i] < rows[i + 1]
+            coupling.append(0 if swapped == a else 1 if higher else coupled)
         generators.append((tuple(diagonal), tuple(partner), tuple(coupling)))
-    return OrthogonalForm(len(tableaux), tuple(generators))
+    return SeminormalForm(len(tableaux), tuple(generators))

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quonstat import (
     CapExceeded,
@@ -18,9 +20,9 @@ from quonstat import (
     identity,
     inverse,
     inversion_number,
-    orthogonal_form,
     preset_rep,
     random_rep,
+    seminormal_form,
     sign,
 )
 from quonstat.permutations import check_permutation, dominates, irrep_name, partitions
@@ -32,6 +34,12 @@ def test_inversion_number_examples():
     assert inversion_number((1, 2, 3)) == 0
     assert inversion_number((2, 1)) == 1
     assert inversion_number((3, 2, 1)) == 3
+
+
+@given(st.integers(1, 60).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_inversion_number_counts_every_pair(p):
+    n = len(p)
+    assert inversion_number(p) == sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
 
 
 def test_enumerate_small():
@@ -206,6 +214,12 @@ def test_character_lookup_via_cycle_type():
         t3.character("sign", (2, 1))
 
 
+@pytest.mark.parametrize("p", [(1, 1, 1), (2, 2, 1), (5, 1, 2)])
+def test_character_refuses_a_non_permutation(p):
+    with pytest.raises(ContractViolation, match="is not a permutation of 1..3"):
+        character_table(3).character("standard", p)
+
+
 def test_class_sizes_count_permutations():
     for n in range(2, 9):
         table = character_table(n)
@@ -215,73 +229,103 @@ def test_class_sizes_count_permutations():
         assert counted == {ct: size for ct, size in table.classes}
 
 
-def _dense(form):
-    """The generator matrices of an `OrthogonalForm` as dense rows."""
-    out = []
-    for diagonal, partner, coupling in form.generators:
-        m = [[0.0] * form.dimension for _ in range(form.dimension)]
-        for a in range(form.dimension):
-            m[a][a] += diagonal[a]
-            m[partner[a]][a] += coupling[a]
-        out.append(m)
-    return out
-
-
 def _identity(d):
-    return [[float(i == j) for j in range(d)] for i in range(d)]
+    return [[int(a == b) for b in range(d)] for a in range(d)]
 
 
-def _mul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+def _times(m, generator):
+    """m rho(s_i) for one generator of a `SeminormalForm`, in exact
+    arithmetic: column c of rho(s_i) holds diagonal[c] at row c and
+    coupling[c] at row partner[c]."""
+    diagonal, partner, coupling = generator
+    return [
+        [row[c] * diagonal[c] + row[partner[c]] * coupling[c] for c in range(len(row))]
+        for row in m
+    ]
 
 
-def _close(a, b, tol=1e-12):
-    return all(abs(x - y) <= tol for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+def _word(d, generators):
+    """rho of the product of ``generators``, leftmost first."""
+    m = _identity(d)
+    for generator in generators:
+        m = _times(m, generator)
+    return m
 
 
-def test_orthogonal_form_satisfies_the_coxeter_relations():
+def test_seminormal_form_satisfies_the_coxeter_relations():
+    # exact: s_i^2 = 1, s_i s_(i+1) s_i = s_(i+1) s_i s_(i+1), and s_i, s_j
+    # commute for |i - j| >= 2, on every shape of n <= 6
     for n in range(1, 7):
         for shape in partitions(n):
-            form = orthogonal_form(shape)
-            gens = _dense(form)
-            eye = _identity(form.dimension)
+            form = seminormal_form(shape)
+            d, gens = form.dimension, form.generators
+            assert len(gens) == n - 1
             for i, si in enumerate(gens):
-                assert si == [list(col) for col in zip(*si)]  # symmetric
-                assert _close(_mul(si, si), eye), (shape, i)
-                for j in range(i + 2, len(gens)):
-                    assert _close(_mul(si, gens[j]), _mul(gens[j], si)), (shape, i, j)
+                assert all(
+                    type(x) in (int, Fraction) for values in (si[0], si[2]) for x in values
+                ), (shape, i)
+                assert _word(d, [si, si]) == _identity(d), (shape, i)
+                for sj in gens[i + 2 :]:
+                    assert _word(d, [si, sj]) == _word(d, [sj, si]), (shape, i)
                 if i + 1 < len(gens):
                     sj = gens[i + 1]
-                    assert _close(_mul(_mul(si, sj), si), _mul(_mul(sj, si), sj)), (shape, i)
+                    assert _word(d, [si, sj, si]) == _word(d, [sj, si, sj]), (shape, i)
 
 
-def test_orthogonal_form_traces_are_the_characters():
+def test_seminormal_couplings_multiply_to_one_minus_inverse_r_squared():
+    # each pair (T, s_i T) of standard tableaux has diagonal entries 1/r
+    # and -1/r and couplings whose product is 1 - 1/r^2 > 0, one of them
+    # 1; a tableau whose s_i T is not standard has 1/r = +-1 and no coupling
+    # (2, 1): rows (0, 0, 1) and (0, 1, 0); on s_2 the coupling is 1 where
+    # 2 sits in a higher row than 3, the first tableau
+    assert seminormal_form((2, 1)) == (
+        2,
+        (
+            ((1, -1), (0, 1), (0, 0)),
+            ((Fraction(-1, 2), Fraction(1, 2)), (1, 0), (1, Fraction(3, 4))),
+        ),
+    )
+    for n in range(2, 7):
+        for shape in partitions(n):
+            form = seminormal_form(shape)
+            for diagonal, partner, coupling in form.generators:
+                for a, b in enumerate(partner):
+                    if a == b:
+                        assert diagonal[a] in (1, -1) and coupling[a] == 0, shape
+                        continue
+                    assert partner[b] == a and diagonal[b] == -diagonal[a]
+                    product = coupling[a] * coupling[b]
+                    assert product == 1 - diagonal[a] ** 2 and product > 0, shape
+                    assert 1 in (coupling[a], coupling[b]), shape
+
+
+def test_seminormal_form_traces_are_the_characters():
     # a cycle type is the product of the cycles s_a s_{a+1} .. s_{a+l-2}
-    # on consecutive places; its trace must be the character table's entry
+    # on consecutive places; its exact trace must be the Murnaghan-Nakayama
+    # entry of the character table
     for n in range(2, 7):
         table = character_table(n)
         for shape in partitions(n):
-            form = orthogonal_form(shape)
+            form = seminormal_form(shape)
             name = irrep_name(shape)
             assert form.dimension == table.dimension(name)
-            gens = _dense(form)
             chars = next(c for label, _, c in table.irreps if label == name)
             for (mu, _), chi in zip(table.classes, chars):
-                m = _identity(form.dimension)
+                word = []
                 start = 0
                 for length in mu:
-                    for k in range(start, start + length - 1):
-                        m = _mul(m, gens[k])
+                    word.extend(form.generators[start : start + length - 1])
                     start += length
-                assert abs(sum(m[i][i] for i in range(form.dimension)) - chi) < 1e-9, (shape, mu)
+                m = _word(form.dimension, word)
+                assert sum(m[a][a] for a in range(form.dimension)) == chi, (shape, mu)
 
 
-def test_orthogonal_form_refuses_bad_shapes():
+def test_seminormal_form_refuses_bad_shapes():
     for bad in ((), (1, 2), (2, 0)):
         with pytest.raises(ContractViolation, match="not a partition"):
-            orthogonal_form(bad)
+            seminormal_form(bad)
     with pytest.raises(CapExceeded, match="cap is 8"):
-        orthogonal_form((9,))
+        seminormal_form((9,))
 
 
 def test_partitions_dominance_and_names():
