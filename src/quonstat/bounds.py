@@ -14,7 +14,7 @@ import sys
 import warnings
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ContractViolation, LimitsFormatError, read_text
+from .errors import ContractViolation, LimitsFormatError, read_rows
 from .record import Record
 
 PROXIMITIES = ("near_bose", "near_fermi")
@@ -118,7 +118,7 @@ def _parse_line(parts: list[str]) -> BoundRecord:
     if len(parts) not in (6, 7):
         raise ValueError(f"expected 6 or 7 tab-separated columns, got {len(parts)}")
     species, composite_of, n_raw, eps_raw, proximity, source = parts[:6]
-    comment = parts[6].strip() if len(parts) == 7 else ""
+    comment = parts[6] if len(parts) == 7 else ""
     try:
         n = int(n_raw)
     except ValueError:
@@ -142,17 +142,14 @@ def _parse_line(parts: list[str]) -> BoundRecord:
 
 
 def ingest_limits(path) -> list[BoundRecord]:
-    """Read a tab-separated limits file; '#' lines are comments.  Every
-    malformed or invariant-violating line is reported with its number."""
-    text = read_text(path)
+    """Read a limits file of tab-separated rows (see ``errors.read_rows``).
+    Every malformed or invariant-violating line is reported with its
+    number."""
     records = []
     diagnostics = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, parts in read_rows(path):
         try:
-            records.append(_parse_line(raw.split("\t")))
+            records.append(_parse_line(parts))
         except ValueError as exc:
             diagnostics.append((lineno, str(exc)))
     if diagnostics:

@@ -3,6 +3,9 @@ tab-separated output; polynomials use the qpoly text format.
 
 Options come from the one ``COMMANDS`` table: ``--name value`` or
 ``--name=value``, never abbreviated; ``-h``/``--help`` prints the usage.
+Label and chain lists are split by ``_split_list``; rep and matrix files
+are read, like limits files, by ``errors.read_rows``.  Each parser keeps
+its own checks and stops at the first bad entry or line.
 
 Exit codes: 0 success, 1 contract violations and a closed stdout, 2 parse
 errors.
@@ -14,11 +17,12 @@ import sys
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import Iterator
 
 from . import bounds as bounds_mod
 from . import composite as composite_mod
 from . import fock, wick
-from .errors import ContractViolation, ParseError, QuonError, read_text, refuse_above_cap
+from .errors import ContractViolation, ParseError, QuonError, read_rows, refuse_above_cap
 from .permutations import RepCoefficients, check_permutation, preset_rep
 from .wick import ModeLabel
 
@@ -33,17 +37,23 @@ def _float(raw: str) -> float:
     return value
 
 
-def _parse_labels(raw: str) -> tuple[ModeLabel, ...]:
-    if not raw:
-        raise ParseError("empty label list")
-    labels = []
+def _split_list(raw: str, entry: str) -> Iterator[tuple[str, str, str]]:
+    """Each comma entry of ``raw``, stripped and split at its first ':'
+    as by ``str.partition``; an empty entry is a ParseError naming it as
+    ``entry``.  Entries are yielded one by one, so an error in an earlier
+    entry is reported first."""
     for token in raw.split(","):
         token = token.strip()
         if not token:
-            raise ParseError(f"empty label in {raw!r}")
-        tag, sep, index = token.partition(":")
-        labels.append(ModeLabel(index, tag) if sep else ModeLabel(token))
-    return tuple(labels)
+            raise ParseError(f"empty {entry} in {raw!r}")
+        yield token.partition(":")
+
+
+def _parse_labels(raw: str) -> tuple[ModeLabel, ...]:
+    return tuple(
+        ModeLabel(index, tag) if sep else ModeLabel(tag)
+        for tag, sep, index in _split_list(raw, "label")
+    )
 
 
 def _parse_rep(raw: str, n: int) -> RepCoefficients:
@@ -55,11 +65,7 @@ def _parse_rep(raw: str, n: int) -> RepCoefficients:
         raise ParseError(f"rep must be 'sym', 'antisym', or a file; {raw!r} not found")
     coeffs = {}
     first_line = {}
-    for lineno, line in enumerate(read_text(raw).splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split("\t")
+    for lineno, parts in read_rows(raw):
         if len(parts) != 2:
             raise ParseError(f"{raw}:{lineno}: expected 'images<TAB>coefficient'")
         try:
@@ -92,12 +98,9 @@ def _parse_rep(raw: str, n: int) -> RepCoefficients:
 
 def _parse_matrix(path: str) -> list[list[int]]:
     rows = []
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, parts in read_rows(path):
         try:
-            row = [int(x) for x in stripped.split("\t")]
+            row = [int(x) for x in parts]
         except ValueError:
             raise ParseError(f"{path}:{lineno}: entries must be integers") from None
         if any(x not in (0, 1) for x in row):
@@ -203,19 +206,11 @@ def _cmd_bounds_propagate(args) -> int:
 
 def _parse_chain(raw: str) -> list[tuple[str, int]]:
     chain = []
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            raise ParseError(f"empty chain entry in {raw!r}")
-        species, sep, n_raw = token.partition(":")
-        if sep:
-            try:
-                n = int(n_raw)
-            except ValueError:
-                raise ParseError(f"bad constituent count in {token!r}") from None
-        else:
-            n = 1
-        chain.append((species, n))
+    for species, sep, n_raw in _split_list(raw, "chain entry"):
+        try:
+            chain.append((species, int(n_raw) if sep else 1))
+        except ValueError:
+            raise ParseError(f"bad constituent count in {species + sep + n_raw!r}") from None
     return chain
 
 

@@ -1,5 +1,9 @@
-"""Exception hierarchy shared by all quonstat modules, and the caps that
-refuse exponential work: one per kind of work, all kept here."""
+"""Exception hierarchy shared by all quonstat modules, the caps that
+refuse exponential work (one per kind of work, all kept here) and
+``read_rows``, the one reader of input files: rep, matrix and limits
+files are all UTF-8 lines of tab-separated fields."""
+
+import codecs
 
 DEFAULT_ENUM_CAP = 8  # work over S_k: enumerations, tables, PSD blocks, oracle, overlap
 Q_PERMANENT_CAP = 16  # 2^16 subset states; also the longest scalar_product word
@@ -50,13 +54,21 @@ class LimitsFormatError(ParseError):
         super().__init__(f"{self.path}: {lines}")
 
 
-def read_text(path) -> str:
-    """Contents of a UTF-8 text file.  A file that cannot be opened or
-    decoded is malformed input: ParseError with a one-line reason."""
+def read_rows(path) -> list[tuple[int, list[str]]]:
+    """The data lines of a UTF-8 text file: (line number, tab-separated
+    fields) of each line once stripped, skipping blank lines and lines
+    starting with '#'.  One leading byte-order mark is dropped.  A file
+    that cannot be opened or decoded is malformed input: ParseError with a
+    one-line reason, whose byte offset counts from the start of the file."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    try:
+        text = data[start:].decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+        raise ParseError(f"{path}: not UTF-8 text (byte {start + exc.start})") from None
+    lines = enumerate(map(str.strip, text.splitlines()), start=1)
+    return [(no, line.split("\t")) for no, line in lines if line and not line.startswith("#")]

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import permutations as _itertools_permutations
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import ContractViolation, UnsupportedError, refuse_above_cap
+from .errors import ContractViolation, refuse_above_cap
 from .qpoly import Coefficient, _exact
 from .record import Record
 
@@ -241,7 +241,7 @@ def _mn_character(beta: frozenset, mu: tuple[int, ...]) -> int:
 
 
 def character_table(n: int) -> CharacterTable:
-    """Character table of S_n, 2 <= n <= DEFAULT_ENUM_CAP (8), by the
+    """Character table of S_n, 1 <= n <= DEFAULT_ENUM_CAP (8), by the
     Murnaghan-Nakayama rule.
 
     Irreps are listed by partition in descending (reverse-lex) order and
@@ -249,8 +249,8 @@ def character_table(n: int) -> CharacterTable:
     class comes first and holds the dimensions.  Irreps are named by
     ``irrep_name``.
     """
-    if n < 2:
-        raise UnsupportedError(f"character tables need n >= 2, not n={n}")
+    if n < 1:
+        raise ContractViolation("n must be >= 1")
     refuse_above_cap(n)
     shapes = list(partitions(n))
     classes = []

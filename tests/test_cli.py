@@ -173,6 +173,41 @@ def test_non_utf8_input_files_are_parse_errors(tmp_path, capsys):
         assert len(err.strip().splitlines()) == 1
 
 
+LIMITS_ROWS = "root\t-\t1\t1e-8\tnear_bose\tsynthetic\nleaf\troot\t4\t1e-3\tnear_fermi\tsrc\tnote\n"
+READER_CASES = {
+    "rep": ("1,2\t1\n2,1\t-1/2\n", ("norm", "--n", "2", "--rep")),
+    "matrix": ("1\t1\t0\n0\t1\t1\n1\t0\t1\n", ("qperm", "--matrix")),
+    "limits": (LIMITS_ROWS, ("bounds", "chain", "--path", "root,leaf:4", "--input")),
+    "limits_header": ("# species\tcomposite_of\tn\teps\tproximity\tsource\n" + LIMITS_ROWS,
+                      ("bounds", "chain", "--path", "root,leaf:4", "--input")),
+}
+
+
+@pytest.mark.parametrize("case", READER_CASES)
+def test_input_files_read_through_a_bom_crlf_comments_and_trailing_spaces(tmp_path, capsys, case):
+    text, argv = READER_CASES[case]
+    plain = tmp_path / "plain.tsv"
+    plain.write_text(text)
+    noisy = tmp_path / "noisy.tsv"
+    lines = [line + "  " for line in text.splitlines()]
+    noisy.write_bytes(b"\xef\xbb\xbf" + "\r\n".join(lines[:1] + ["# a comment", ""] + lines[1:]).encode())
+    expected = run(capsys, *argv, str(plain))
+    assert expected[0] == 0 and expected[1]
+    assert run(capsys, *argv, str(noisy)) == expected
+
+
+def test_non_utf8_byte_offset_counts_from_the_start_of_the_file(tmp_path, capsys):
+    path = tmp_path / "bom.tsv"
+    for content, offset in ((b"1\t\xff\n", 2), (b"\xef\xbb\xbf1\t\xff\n", 5)):
+        path.write_bytes(content)
+        for argv in (
+            ("qperm", "--matrix", str(path)),
+            ("norm", "--n", "2", "--rep", str(path)),
+            ("bounds", "chain", "--input", str(path), "--path", "x"),
+        ):
+            assert run(capsys, *argv) == (2, "", f"error: {path}: not UTF-8 text (byte {offset})\n")
+
+
 def test_missing_input_files_are_parse_errors(tmp_path, capsys):
     missing = str(tmp_path / "no_such_file.tsv")
     for argv in (
@@ -374,9 +409,11 @@ def test_weights_unsupported_n(capsys):
     assert code == 1
     assert err.startswith("error: ") and "cap is 8" in err
     assert len(err.splitlines()) == 1
-    code, _, err = run(capsys, "weights", "--n", "1", "--q", "0.0")
+    code, _, err = run(capsys, "weights", "--n", "0", "--q", "0.0")
     assert code == 1
     assert err.startswith("error: ")
+    # S_1 is a group like any other: one irrep holding the whole weight
+    assert run(capsys, "weights", "--n", "1", "--q", "0.3") == (0, "trivial\t1\n", "")
 
 
 def test_composite_exponent_quark_model(capsys):
@@ -612,6 +649,26 @@ def test_bounds_chain_malformed_file(tmp_path, capsys):
     code, _, err = run(capsys, "bounds", "chain", "--input", str(path), "--path", "x")
     assert code == 2
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("row", ["\troot\t1\t1e-8\tnear_bose\tsrc", "\troot\t1\t1e-8\tnear_bose\tsrc\tnote"])
+def test_bounds_chain_refuses_a_line_with_an_empty_species(tmp_path, capsys, row):
+    path = tmp_path / "limits.tsv"
+    path.write_text("x\t-\t1\t1e-8\tnear_bose\tsrc\n" + row + "\n")
+    code, out, err = run(capsys, "bounds", "chain", "--input", str(path), "--path", "x")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: line 2: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("sp", "--left", "a,,b", "--right", "a"), "empty label in 'a,,b'"),
+    (("gram", "--labels", ""), "empty label in ''"),
+    (("bounds", "chain", "--path", ""), "empty chain entry in ''"),
+    (("bounds", "chain", "--path", "O16, ,quark:3"), "empty chain entry in 'O16, ,quark:3'"),
+    (("bounds", "chain", "--path", "O16,nucleon:1e3"), "bad constituent count in 'nucleon:1e3'"),
+])
+def test_comma_lists_refuse_empty_entries_and_bad_counts(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_bounds_chain_unknown_species(capsys):

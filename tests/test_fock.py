@@ -542,6 +542,27 @@ def test_failing_report_names_the_irrep_of_the_minimum():
     assert psd_report("aa", 1.7)[:2] == (True, 0.0)
 
 
+@pytest.mark.parametrize("word, repeats, name", [
+    ("abcd", 1, "standard"), ("aabc", 2, "standard"), ("abcde", 1, "4+1"), ("aabbc", 4, "4+1"),
+])
+@pytest.mark.parametrize("q", [1e30, -1e30])
+def test_tied_minima_name_the_first_irrep_in_partitions_order(word, repeats, name, q):
+    # far outside [-1, 1] every irrep holding the eigenvalue -1 of the
+    # longest permutation reaches the minimum -|H| |q|^top up to rounding;
+    # for abcde and aabbc the block that rounds lowest is 2+2+1's
+    n = len(word)
+    report = psd_report(word, q)
+    assert not report.passed
+    assert report.witness == name
+    assert report.min_eigenvalue == pytest.approx(-repeats * abs(q) ** (n * (n - 1) // 2), rel=1e-12)
+
+
+def test_a_near_tie_still_names_the_least_block():
+    # at q = -1e10 the standard block of abc reaches -(1 + 1e-10) |q|^3 and
+    # the trivial one -(1 - 2e-10) |q|^3: 3e-10 apart, not a tie
+    assert psd_report("abc", -1e10).witness == "standard"
+
+
 def test_psd_report_is_finite_far_outside_the_convexity_range():
     # the blocks are scaled by |q|^3 before the rotations, whose squares
     # would overflow a float from |q| ~ 1e51 on
@@ -741,8 +762,10 @@ def test_irrep_weights_round_the_exact_value_once(monkeypatch):
 
 
 def test_irrep_weights_range_checks():
-    with pytest.raises(UnsupportedError):
-        irrep_weights(1, 0.0)
+    assert irrep_weights(1, 0.3) == {"trivial": 1.0}
+    assert irrep_weight_polys(1) == {"trivial": QPolynomial.one()}
+    with pytest.raises(ContractViolation, match="n must be >= 1"):
+        irrep_weights(0, 0.0)
     with pytest.raises(CapExceeded):
         irrep_weights(9, 0.0)
     with pytest.raises(ContractViolation):

@@ -12,7 +12,6 @@ from quonstat import (
     CapExceeded,
     ContractViolation,
     RepCoefficients,
-    UnsupportedError,
     all_permutations,
     character_table,
     compose,
@@ -182,8 +181,10 @@ def test_character_table_names_irreps_by_partition_above_four():
 
 
 def test_character_table_unsupported():
-    with pytest.raises(UnsupportedError):
-        character_table(1)
+    # S_1: one class and the trivial irrep
+    assert character_table(1) == (1, (((1,), 1),), (("trivial", 1, (1,)),))
+    with pytest.raises(ContractViolation, match="n must be >= 1"):
+        character_table(0)
     # the S_n enumeration cap is the only upper limit
     with pytest.raises(CapExceeded, match="cap is 8"):
         character_table(9)
