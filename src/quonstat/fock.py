@@ -45,6 +45,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 from .errors import (
     DEFAULT_ENUM_CAP,
     GRAM_CAP,
+    Q_PERMANENT_CAP,
     CapExceeded,
     ContractViolation,
     UnsupportedError,
@@ -277,39 +278,46 @@ def gram(words: Sequence[Word]) -> GramMatrix:
     inverse have the same inversion number.
 
     A scalar product depends on its two words only through which letters
-    are equal.  Row i numbers the labels of its word by first occurrence,
-    and the pair (i, j) is keyed by both words written in those numbers;
-    a right label absent from the left word maps to None, which makes the
-    product zero whichever label it was.  The engine runs once per
-    distinct key, pairs with equal keys share one `QPolynomial`, and the
-    lower triangle reuses the upper one.
+    are equal.  Every label is written as one character and every word as
+    a string.  Row i's translation table sends each label of word i to
+    its first-occurrence number there and every other label to one
+    sentinel, ``chr(word length)``, which makes the product zero whichever
+    label it was; the pair (i, j) is keyed by word i's pattern followed by
+    word j translated.  The engine runs once per distinct key, pairs with
+    equal keys share one `QPolynomial`, and the lower triangle is the
+    earlier rows' column i.
     """
     words = tuple(tuple(w) for w in words)
     if len(words) > GRAM_CAP:
         raise CapExceeded(f"gram is capped at {GRAM_CAP} words, got {len(words)}")
-    if words:
-        length = len(words[0])
-        if any(len(w) != length for w in words):
-            raise ContractViolation("gram requires equal-length words")
+    if not words:
+        return GramMatrix(words=(), entries=())
+    length = len(words[0])
+    if any(len(w) != length for w in words):
+        raise ContractViolation("gram requires equal-length words")
+    # the engine's cap, checked first: it keeps every label code and the
+    # sentinel within the range of chr
+    if length > Q_PERMANENT_CAP:
+        raise CapExceeded(f"gram is capped at {Q_PERMANENT_CAP} letters per word, got {length}")
+    codes: dict = {}
+    strings = ["".join([codes.setdefault(label, chr(len(codes))) for label in w]) for w in words]
+    sentinel = chr(length)
     products: dict = {}
     entries = []
-    for i, wi in enumerate(words):
-        ids: dict = {}
-        for label in wi:
-            ids.setdefault(label, len(ids))
-        pattern = tuple(map(ids.get, wi))
-        row = []
-        for j, wj in enumerate(words):
-            if j < i:
-                row.append(entries[j][i])
-                continue
-            key = (pattern, tuple(map(ids.get, wj)))
+    for i, (wi, si) in enumerate(zip(words, strings)):
+        table = [sentinel] * len(codes)
+        for number, code in enumerate(dict.fromkeys(si)):
+            table[ord(code)] = chr(number)
+        pattern = si.translate(table)
+        row = list(map(itemgetter(i), entries))
+        keys = map(pattern.__add__, map(str.translate, strings[i:], repeat(table)))
+        for wj, key in zip(words[i:], keys):
             entry = products.get(key)
             if entry is None:
                 entry = products[key] = scalar_product(wi, wj)
             row.append(entry)
         entries.append(row)
-    return GramMatrix(words=words, entries=tuple(tuple(row) for row in entries))
+    return GramMatrix(words=words, entries=tuple(map(tuple, entries)))
 
 
 def permutation_basis(labels: Sequence[ModeLabel]) -> list[Word]:

@@ -73,10 +73,12 @@ def q_permanent(matrix: Sequence[Sequence]) -> QPolynomial:
     The states live in a flat list of 2^n slots indexed by the column
     mask.  A row walks a frontier, the masks the previous row reached: a
     mask joins the next frontier when its slot turns nonzero, and a slot
-    is reset to 0 once pushed, so only two rows' states are live.  Free
-    columns are taken highest first, so the number of used columns above
-    the target only grows; the source is shifted once per distinct count,
-    not once per target.
+    is reset to 0 once pushed, so only two rows' states are live.  A row
+    lists every column, highest first, with its entry; walking a source
+    mask down that list, each used column adds one field width to a
+    pending shift, which is applied to the source at the next free column
+    with a nonzero entry.  So the source is shifted once per run of used
+    columns, and no free column counts the used ones above it.
     """
     n = len(matrix)
     for row in matrix:
@@ -98,7 +100,7 @@ def q_permanent(matrix: Sequence[Sequence]) -> QPolynomial:
     for row in matrix:
         entries, scale = _clear_denominators(row)
         # highest column first, so the used columns above a target only grow
-        rows.append([(j + 1, 1 << j, entries[j]) for j in reversed(range(n)) if entries[j]])
+        rows.append([(1 << j, entries[j]) for j in reversed(range(n))])
         denominator *= scale
         bound *= max(map(abs, entries))
     width = _field_width(bound)
@@ -115,20 +117,21 @@ def q_permanent(matrix: Sequence[Sequence]) -> QPolynomial:
             if not value:
                 continue
             slots[mask] = 0
-            rank = 0
-            shifted = value
-            for above, bit, entry in columns:
+            pending = 0
+            for bit, entry in columns:
                 if mask & bit:
+                    pending += width
                     continue
-                used = (mask >> above).bit_count()
-                if used != rank:
-                    rank = used
-                    shifted = value << rank * width
+                if not entry:
+                    continue
+                if pending:
+                    value <<= pending
+                    pending = 0
                 target = mask | bit
                 old = slots[target]
                 if not old:
                     reached.append(target)
-                slots[target] = old + (shifted if entry == 1 else shifted * entry)
+                slots[target] = old + (value if entry == 1 else value * entry)
         if not reached:
             return QPolynomial.zero()
         frontier = reached

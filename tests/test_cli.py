@@ -1,5 +1,6 @@
 """CLI behaviour: output format, exit codes, determinism, coverage."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -798,6 +799,71 @@ def test_closed_stdout_is_a_one_line_error():
     assert "Traceback" not in result.stderr
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("error: ")
+
+
+# one call per exit code: a result, a refused size and a usage error
+EXIT_CASES = [
+    (["weo", "--n", "3", "--q", "-1"], 0),
+    (["composite", "--n", "9", "--rep", "sym"], 1),
+    (["weo", "--n", "x", "--q", "1"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, expected", EXIT_CASES)
+def test_main_leaves_the_collector_as_it_found_it(capsys, argv, expected):
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    assert run(capsys, *argv)[0] == expected
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+
+# An atexit handler registered before the CLI runs is called after its
+# SystemExit, so it sees the heap as interpreter shutdown will collect it.
+EXIT_PROBE = """
+import atexit, gc, runpy, sys
+before = gc.get_freeze_count()
+atexit.register(lambda: print(f"probe {before} {gc.get_freeze_count()} {gc.isenabled()}", file=sys.stderr))
+entry = sys.argv[1]
+sys.argv = ["quonstat", *sys.argv[2:]]
+if entry == "run":
+    import quonstat.cli
+    quonstat.cli.run()
+else:
+    runpy.run_module("quonstat.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("entry", ["run", "__main__"])
+@pytest.mark.parametrize("argv, expected", EXIT_CASES)
+def test_run_exits_with_mains_code_from_a_frozen_heap(capsys, entry, argv, expected):
+    assert main(argv) == expected
+    in_process = capsys.readouterr()
+    result = subprocess.run(
+        [sys.executable, "-c", EXIT_PROBE, entry, *argv],
+        env=_child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == expected
+    assert result.stdout == in_process.out
+    *lines, probe = result.stderr.splitlines()
+    assert lines == in_process.err.splitlines()
+    before, after, enabled = probe.split()[1:]
+    assert before == "0" and int(after) > 0 and enabled == "True", probe
+
+
+@pytest.mark.parametrize("argv, expected", EXIT_CASES[1:])
+def test_module_entry_point_errors_are_one_line(argv, expected):
+    result = subprocess.run(
+        [sys.executable, "-m", "quonstat.cli", *argv],
+        env=_child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (expected, "")
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: ")
+
+
+def test_console_script_is_run():
+    # a text check: tomllib is missing on Python 3.10
+    pyproject = (Path(SRC).parent / "pyproject.toml").read_text()
+    assert '\nquonstat = "quonstat.cli:run"\n' in pyproject
 
 
 HOSTILE_NUMBERS = st.one_of(

@@ -440,6 +440,16 @@ def test_gram_refuses_more_than_720_words_at_once(monkeypatch):
         gram(permutation_basis("abcdefg"))
 
 
+def test_gram_refuses_words_past_the_engine_cap_before_contracting(monkeypatch):
+    def no_engine(*args):
+        raise AssertionError("gram contracted a pair before refusing")
+
+    monkeypatch.setattr(fock, "scalar_product", no_engine)
+    word = tuple(labels(17))
+    with pytest.raises(CapExceeded, match="capped at 16 letters per word, got 17"):
+        gram([word, word[::-1]])
+
+
 def test_gram_evaluation_refuses_non_finite_q():
     g = gram(permutation_basis(labels(2)))
     for value in (math.nan, math.inf, -math.inf):
