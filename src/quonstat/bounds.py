@@ -118,6 +118,8 @@ def _parse_line(parts: list[str]) -> BoundRecord:
     if len(parts) not in (6, 7):
         raise ValueError(f"expected 6 or 7 tab-separated columns, got {len(parts)}")
     species, composite_of, n_raw, eps_raw, proximity, source = parts[:6]
+    if not species.strip():
+        raise ValueError("species is empty")
     comment = parts[6] if len(parts) == 7 else ""
     try:
         n = int(n_raw)

@@ -7,6 +7,11 @@ Label and chain lists are split by ``_split_list``; rep and matrix files
 are read, like limits files, by ``errors.read_rows``.  Each parser keeps
 its own checks and stops at the first bad entry or line.
 
+``composite`` calls only the public ``composite`` API: ``exchange_law``
+for the direct, exchange and exponent lines, and under ``--overlap``
+first ``two_composite_scalar`` on four equal tags, which refuses n > 4
+by its S_2n cap before the law runs and otherwise forms its own P.
+
 Exit codes: 0 success, 1 contract violations and a closed stdout, 2 parse
 errors.
 
@@ -31,7 +36,7 @@ from typing import Iterator
 from . import bounds as bounds_mod
 from . import composite as composite_mod
 from . import fock, wick
-from .errors import ContractViolation, ParseError, QuonError, read_rows, refuse_above_cap
+from .errors import ContractViolation, ParseError, QuonError, read_rows
 from .permutations import RepCoefficients, check_permutation, preset_rep
 from .wick import ModeLabel
 
@@ -176,17 +181,12 @@ def _cmd_composite(args) -> int:
     spec = composite_mod.CompositeSpec(
         n=args.n, internal_labels=tuple(range(1, args.n + 1)), rep=rep
     )
-    # past its cap the overlap product is refused before any contraction
+    # the product of four equal tags runs first, so past its S_2n cap it
+    # is refused before the law contracts anything
     if args.overlap:
-        refuse_above_cap(2 * args.n)
+        cross = composite_mod.two_composite_scalar(spec, ("t", "t"), ("t", "t")).cross
     aligned, swapped, exponent = composite_mod.exchange_law(spec)
-    if args.overlap:
-        # the product of four equal tags, fed the law's two whole-block
-        # terms, so only the full product is contracted
-        tags = ("t", "t")
-        blocks = (aligned.direct, swapped.exchange)
-        cross = composite_mod._split(spec, tags, tags, blocks).cross
-    else:
+    if not args.overlap:
         # the aligned cross term, which exchange_law checked to be zero
         cross = aligned.cross
     print(f"direct\t{aligned.direct}")

@@ -37,9 +37,10 @@ of S_n and makes no engine call; P of a sparse rep, such as one term,
 is one engine call on n letters.  ``exchange_law`` feeds the pair to
 the split of both the aligned and the swapped product and checks
 c = n^2; ``two_composite_scalar`` forms it only when a whole block
-passes.  ``quonstat composite --overlap`` feeds the law's pair to the
-product of four equal tags, so it forms one P and makes one engine call
-on 2n letters, the full product.
+passes.  ``quonstat composite --overlap`` runs ``two_composite_scalar``
+on four equal tags before the law, so past the S_2n cap it is refused
+before any contraction; at n <= 4 it forms its own P and makes one
+engine call on 2n letters, the full product.
 """
 
 from typing import Hashable, NamedTuple, Sequence
@@ -97,15 +98,11 @@ def block_swap(n: int) -> Permutation:
     return tuple(range(n + 1, 2 * n + 1)) + tuple(range(1, n + 1))
 
 
-def _norm(spec: CompositeSpec) -> QPolynomial:
-    """The composite norm P = <A|A> of one composite state."""
-    return normalization_poly(spec.rep, [ModeLabel(i) for i in spec.internal_labels])
-
-
 def _whole_blocks(spec: CompositeSpec) -> tuple[QPolynomial, QPolynomial, int]:
-    """P^2 and q^c * P^2 for the composite norm P, formed once, and the
-    crossing count c of ``block_swap``."""
-    p = _norm(spec)
+    """P^2 and q^c * P^2 for the composite norm P = <A|A> of one
+    composite state, formed once, and the crossing count c of
+    ``block_swap``."""
+    p = normalization_poly(spec.rep, [ModeLabel(i) for i in spec.internal_labels])
     squared = p * p
     crossings = inversion_number(block_swap(spec.n))
     return squared, squared.shift(crossings), crossings
@@ -165,7 +162,10 @@ def two_composite_scalar(
     passes: for aligned or swapped tags and under full overlap, not when
     no block passes.  Engine calls: none for P of a dense rep (one for a
     sparse rep), plus one on 2n letters for the full product if a side
-    repeats a tag.
+    repeats a tag.  A repeated tag is work over S_2n, refused for n > 4
+    before P is formed.  ``quonstat composite --overlap`` runs it on
+    four equal tags before ``exchange_law``, forming its own P at
+    n <= 4, and prints the cross component.
     """
     return _split(spec, left_tags, right_tags, None)
 
@@ -185,6 +185,8 @@ def exchange_law(
     q^(n^2) * P^2; direct = P^2 checks which block the split let pass.
     Once c = n^2 and direct = P^2 hold, exchange = q^(n^2) * direct is
     checked against that q^(n^2) * P^2, so no second shift is formed.
+    ``quonstat composite --overlap`` runs ``two_composite_scalar`` on
+    four equal tags before the law, forming its own P at n <= 4.
     """
     n = spec.n
     squared, shifted, crossings = _whole_blocks(spec)

@@ -56,8 +56,9 @@ class LimitsFormatError(ParseError):
 
 def read_rows(path) -> list[tuple[int, list[str]]]:
     """The data lines of a UTF-8 text file: (line number, tab-separated
-    fields) of each line once stripped, skipping blank lines and lines
-    starting with '#'.  One leading byte-order mark is dropped.  A file
+    fields) of each line less its trailing whitespace, skipping lines
+    that are blank or start with '#' once stripped.  A leading tab gives
+    an empty first field.  One leading byte-order mark is dropped.  A file
     that cannot be opened or decoded is malformed input: ParseError with a
     one-line reason, whose byte offset counts from the start of the file."""
     try:
@@ -70,5 +71,5 @@ def read_rows(path) -> list[tuple[int, list[str]]]:
         text = data[start:].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {start + exc.start})") from None
-    lines = enumerate(map(str.strip, text.splitlines()), start=1)
-    return [(no, line.split("\t")) for no, line in lines if line and not line.startswith("#")]
+    lines = enumerate(map(str.rstrip, text.splitlines()), start=1)
+    return [(no, line.split("\t")) for no, line in lines if line.lstrip()[:1] not in ("", "#")]

@@ -165,11 +165,13 @@ def test_ingest_reports_bad_lines_with_numbers(tmp_path):
         "ok\tof\t4\t1e-9\tnear_bose\tsrc\n"
         "bad\tof\t4\t1e-9\tnowhere\tsrc\n"
         "short\tline\n"
+        "eps\tof\t4\tsmall\tnear_bose\tsrc\n"
     )
     with pytest.raises(LimitsFormatError) as excinfo:
         ingest_limits(path)
     lines = [no for no, _ in excinfo.value.diagnostics]
-    assert lines == [1, 3, 4]
+    assert lines == [1, 3, 4, 5]
+    assert excinfo.value.diagnostics[-1] == (5, "epsilon 'small' is not a number")
 
 
 def test_derive_chain_published_numbers():

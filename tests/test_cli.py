@@ -2,6 +2,7 @@
 
 import gc
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,8 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import pairwise_dp_scalar
+from test_composite import literal_classified
 
-from quonstat import composite, fock
+from quonstat import QPolynomial, composite, fock, preset_rep, random_rep
 from quonstat.cli import COMMANDS, _parse_rep, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -98,6 +101,14 @@ def test_norm_rep_file(tmp_path, capsys):
     code, out, _ = run(capsys, "norm", "--n", "2", "--rep", str(path))
     assert code == 0
     assert out == "5/4 - q\n"
+
+
+def test_rep_file_of_comments_only_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "rep.tsv"
+    path.write_text("# images\tcoefficient\n#1,2\t1\n")
+    assert run(capsys, "norm", "--n", "2", "--rep", str(path)) == (
+        2, "", f"error: {path}: no coefficients found\n"
+    )
 
 
 def test_norm_rep_file_arity_mismatch(tmp_path, capsys):
@@ -439,23 +450,68 @@ def test_composite_overlap_cross(capsys):
     assert lines["exponent"] == "4"
 
 
+@pytest.mark.parametrize("n, rep", [
+    (2, "sym"), (2, "antisym"), (2, "file"), (3, "sym"), (3, "antisym"), (3, "file"), (4, "sym"),
+])
+def test_composite_overlap_lines_match_independent_oracles(tmp_path, capsys, n, rep):
+    # P and the full product of four equal tags by the pairwise q-permanent
+    # oracle, which shares no code with the contraction engine, up to n = 3,
+    # and by state_scalar_product at n = 4; the literal pairing enumerator
+    # at n = 2
+    presets = {"sym": "symmetric", "antisym": "antisymmetric"}
+    if rep in presets:
+        coefficients = preset_rep(n, presets[rep])
+    else:
+        coefficients = random_rep(n, random.Random(n))
+        rep = str(tmp_path / "rep.tsv")
+        Path(rep).write_text("".join(
+            ",".join(map(str, images)) + f"\t{c}\n" for images, c in coefficients.coeffs.items()
+        ))
+    code, out, err = run(capsys, "composite", "--n", str(n), "--rep", rep, "--overlap")
+    assert (code, err) == (0, "")
+    lines = dict(line.split("\t") for line in out.splitlines())
+    assert list(lines) == ["direct", "exchange", "cross", "exponent"]
+    spec = composite.CompositeSpec(n, range(1, n + 1), coefficients)
+    product = pairwise_dp_scalar if n <= 3 else fock.state_scalar_product
+    word = composite.composite_word(spec, "t")
+    norm = product(word, word)
+    direct = norm * norm
+    exchange = QPolynomial.monomial(n * n) * direct
+    full = product(fock.tensor(word, word), fock.tensor(word, word))
+    assert lines == {
+        "direct": str(direct),
+        "exchange": str(exchange),
+        "cross": str(full - direct - exchange),
+        "exponent": str(n * n),
+    }
+    if n == 2:
+        buckets = literal_classified(spec, ("t", "t"), ("t", "t"))
+        assert {kind: str(poly) for kind, poly in buckets.items()} == {
+            kind: lines[kind] for kind in buckets
+        }
+
+
 @pytest.mark.parametrize("overlap, full", [((), 0), (("--overlap",), 1)], ids=["plain", "overlap"])
 def test_composite_contracts_each_product_once(monkeypatch, capsys, overlap, full):
-    # the aligned and swapped products, plus the four-equal-tag product
-    # under --overlap, whose cross term takes the one full contraction of
-    # the 2n-operator states; the distinct-tag cross term is the aligned one.
-    # exchange_law forms the composite norm P and counts the crossings
-    # of the block swap once for both of its products and its P^2 check,
-    # and the overlap product reuses the law's two whole-block terms.
-    # P of the dense sym rep takes no engine call
+    # the aligned and swapped products, plus, under --overlap and before
+    # the law, the four-equal-tag product of two_composite_scalar, whose
+    # cross term takes the one full contraction of the 2n-operator states;
+    # the distinct-tag cross term is the aligned one.  exchange_law forms
+    # the composite norm P and counts the crossings of the block swap once
+    # for both of its products and its P^2 check; the overlap product forms
+    # its own.  P of the dense sym rep takes no engine call
     products = []
     norms = []
     word_lengths = []
     counted_swaps = []
+    scalar_calls = []
+    law_calls = []
     split = composite._split
     norm = composite.normalization_poly
     contract_terms = fock.contract_terms
     count_inversions = composite.inversion_number
+    scalar = composite.two_composite_scalar
+    law = composite.exchange_law
 
     def counted_products(spec, left_tags, right_tags, blocks):
         products.append((left_tags, right_tags))
@@ -474,19 +530,42 @@ def test_composite_contracts_each_product_once(monkeypatch, capsys, overlap, ful
         counted_swaps.append(perm)
         return count_inversions(perm)
 
+    def counts():
+        return len(norms), len(counted_swaps), list(word_lengths)
+
+    def counted_scalar(spec, left_tags, right_tags):
+        before = counts()
+        result = scalar(spec, left_tags, right_tags)
+        scalar_calls.append((left_tags, right_tags, before, counts()))
+        return result
+
+    def counted_law(spec):
+        before = counts()
+        result = law(spec)
+        law_calls.append((before, counts()))
+        return result
+
     monkeypatch.setattr(composite, "_split", counted_products)
     monkeypatch.setattr(composite, "normalization_poly", counted_norms)
     monkeypatch.setattr(fock, "contract_terms", counted_contractions)
     monkeypatch.setattr(composite, "inversion_number", counted_inversions)
+    monkeypatch.setattr(composite, "two_composite_scalar", counted_scalar)
+    monkeypatch.setattr(composite, "exchange_law", counted_law)
     code, out, _ = run(capsys, "composite", "--n", "4", "--rep", "sym", *overlap)
     assert code == 0
     assert "cross\t" in out
     expected = [(("t1", "t2"), ("t1", "t2")), (("t1", "t2"), ("t2", "t1"))]
     expected += [(("t", "t"), ("t", "t"))] * full
     assert sorted(products) == sorted(expected)
-    assert norms == [4]
+    assert norms == [4] * (1 + full)
     assert word_lengths == [8] * full
-    assert counted_swaps == [composite.block_swap(4)]
+    assert counted_swaps == [composite.block_swap(4)] * (1 + full)
+    # the law forms P once, counts the block swap once and contracts
+    # nothing; the overlap product runs before it with its one 8-letter call
+    start = (full, full, [8] * full)
+    assert law_calls == [(start, (1 + full, 1 + full, [8] * full))]
+    tags = ("t", "t")
+    assert scalar_calls == [(tags, tags, (0, 0, []), start)] * full
 
 
 def test_composite_overlap_past_its_cap_is_refused_before_the_law(monkeypatch, capsys):
@@ -656,9 +735,19 @@ def test_bounds_chain_malformed_file(tmp_path, capsys):
 def test_bounds_chain_refuses_a_line_with_an_empty_species(tmp_path, capsys, row):
     path = tmp_path / "limits.tsv"
     path.write_text("x\t-\t1\t1e-8\tnear_bose\tsrc\n" + row + "\n")
-    code, out, err = run(capsys, "bounds", "chain", "--input", str(path), "--path", "x")
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: {path}: line 2: ") and len(err.splitlines()) == 1
+    assert run(capsys, "bounds", "chain", "--input", str(path), "--path", "x") == (
+        2, "", f"error: {path}: line 2: species is empty\n"
+    )
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    ("1,2\t1\n\t2,1\t1\n", ("norm", "--n", "2", "--rep"), "expected 'images<TAB>coefficient'"),
+    ("1\t0\n\t0\t1\n", ("qperm", "--matrix"), "entries must be integers"),
+], ids=["rep", "matrix"])
+def test_a_leading_tab_is_an_empty_first_field(tmp_path, capsys, text, argv, message):
+    path = tmp_path / "input.tsv"
+    path.write_text(text)
+    assert run(capsys, *argv, str(path)) == (2, "", f"error: {path}:2: {message}\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -670,6 +759,12 @@ def test_bounds_chain_refuses_a_line_with_an_empty_species(tmp_path, capsys, row
 ])
 def test_comma_lists_refuse_empty_entries_and_bad_counts(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_bounds_chain_refuses_a_count_below_one(capsys):
+    assert run(capsys, "bounds", "chain", "--path", "O16,nucleon:0") == (
+        1, "", "error: chain entry 'nucleon' has n < 1\n"
+    )
 
 
 def test_bounds_chain_unknown_species(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import permutations as bijections
 
@@ -17,6 +18,7 @@ from quonstat import (
     ModeLabel,
     QPolynomial,
     RepCoefficients,
+    TheoremViolation,
     all_permutations,
     block_swap,
     composite,
@@ -363,6 +365,41 @@ def test_exchange_law_returns_the_products_it_verified():
     assert aligned == two_composite_scalar(spec, ("t1", "t2"), ("t1", "t2"))
     assert swapped == two_composite_scalar(spec, ("t1", "t2"), ("t2", "t1"))
     assert exponent == 9
+
+
+# Each misrouting of the split's two block terms, on the aligned or the
+# swapped product, and the trip-wire of exchange_law it must fire.
+MISROUTES = {
+    "swap_both": (
+        lambda r, swapped: r._replace(direct=r.exchange, exchange=r.direct),
+        "direct component does not equal the squared normalization polynomial",
+    ),
+    "swap_swapped": (
+        lambda r, swapped: r._replace(direct=r.exchange, exchange=r.direct) if swapped else r,
+        "exchange component is not q^(n^2) times the direct component",
+    ),
+    "aligned_passes_both": (
+        lambda r, swapped: r if swapped else r._replace(exchange=r.direct),
+        "aligned tags produced non-direct components",
+    ),
+    "swapped_passes_both": (
+        lambda r, swapped: r._replace(direct=r.exchange) if swapped else r,
+        "swapped tags produced non-exchange components",
+    ),
+}
+
+
+@pytest.mark.parametrize("misroute", MISROUTES)
+def test_exchange_law_trips_on_a_misrouted_block_term(monkeypatch, misroute):
+    mutate, message = MISROUTES[misroute]
+    split = composite._split
+
+    def misrouted(spec, left_tags, right_tags, blocks):
+        return mutate(split(spec, left_tags, right_tags, blocks), right_tags == ("t2", "t1"))
+
+    monkeypatch.setattr(composite, "_split", misrouted)
+    with pytest.raises(TheoremViolation, match=re.escape(message)):
+        exchange_law(make_spec(3, preset_rep(3, "symmetric")))
 
 
 @pytest.mark.parametrize("n", [3, 4])

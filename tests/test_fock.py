@@ -97,6 +97,7 @@ def test_state_vector_merges_and_drops_zeros():
     assert sv.terms == {(A, B): Fraction(1, 2)}
     with pytest.raises(ContractViolation):
         StateVector({(A,): 1, (A, B): 1})
+    assert StateVector({}).word_length() == 0
 
 
 def test_build_state_cancels_on_repeated_labels():
@@ -397,6 +398,7 @@ def test_check_psd_examples():
     report = check_psd(g, 0.5)
     assert report.passed
     assert report.min_eigenvalue == pytest.approx(0.5)
+    assert str(report) == "pass: min eigenvalue 5.000000e-01"
     report = check_psd(g, -1.0)
     assert report.passed
     assert report.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
@@ -405,6 +407,7 @@ def test_check_psd_examples():
     assert report.min_eigenvalue == pytest.approx(-0.5)
     assert not report.q_in_range
     assert report.witness == "trivial"
+    assert str(report) == "fail: min eigenvalue -5.000000e-01 (q outside [-1, 1], convexity range)"
 
 
 def test_psd_check_refuses_an_empty_matrix():

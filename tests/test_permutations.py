@@ -92,6 +92,8 @@ def test_preset_rep_examples():
     anti3 = preset_rep(3, "antisymmetric")
     assert anti3.coefficient((3, 2, 1)) == -1
     assert anti3.coefficient((2, 3, 1)) == 1
+    with pytest.raises(ContractViolation, match="unknown preset 'x'"):
+        preset_rep(3, "x")
 
 
 def test_rep_coefficients_validation():
@@ -177,6 +179,10 @@ def test_character_table_names_irreps_by_partition_above_four():
     assert table.labels == ("trivial", "4+1", "3+2", "3+1+1", "2+2+1", "2+1+1+1", "sign")
     assert table.dimension("3+1+1") == 6
     assert table.character("3+1+1", (2, 3, 4, 5, 1)) == 1
+    with pytest.raises(ContractViolation, match="unknown irrep '5'"):
+        table.dimension("5")
+    with pytest.raises(ContractViolation, match="unknown irrep '5'"):
+        table.character("5", (2, 3, 4, 5, 1))
     assert len(character_table(8).irreps) == 22
 
 

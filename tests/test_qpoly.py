@@ -24,6 +24,12 @@ def test_add_identity():
     assert QPolynomial.zero() + p == p
 
 
+def test_reflected_subtraction_hash_and_truth_value():
+    assert 1 - ONE_PLUS_Q == QPolynomial([0, -1])
+    assert hash(ONE_PLUS_Q) == hash(QPolynomial([Fraction(1), Fraction(2, 2)]))
+    assert bool(ONE_PLUS_Q) and not QPolynomial.zero()
+
+
 def test_add_hand_example():
     assert ONE_PLUS_Q + QPolynomial([0, 1, 1]) == QPolynomial([1, 2, 1])
 

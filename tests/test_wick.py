@@ -58,6 +58,7 @@ def test_mode_label_delta_needs_both_fields():
     assert ModeLabel("x", "p1") != ModeLabel("x", "p2")
     assert ModeLabel("x", "p1") == ModeLabel("x", "p1")
     assert delta_matrix([ModeLabel("x", "p1")], [ModeLabel("x")]) == [[0]]
+    assert (str(ModeLabel(1, "t")), str(ModeLabel("x"))) == ("t:1", "x")
 
 
 def test_q_permanent_examples():
@@ -69,6 +70,8 @@ def test_q_permanent_examples():
 def test_q_permanent_rejects_non_square():
     with pytest.raises(ContractViolation):
         q_permanent([[1, 0], [1]])
+    with pytest.raises(ContractViolation, match="requires a square matrix"):
+        oracle_q_permanent([[1, 0], [1]])
 
 
 def test_q_permanent_cap():
