@@ -185,8 +185,11 @@ def derive_chain(
     ``chain`` lists (species, n) pairs: the first entry names the species
     whose limit seeds the walk (n must be 1); each later entry says the
     previous species is a bound state of n of this one.  Model-dependent
-    records never seed a chain.  Derived constituents of matter are
-    reported near_fermi; the parity column carries the n even/odd logic.
+    records never seed a chain.  One row per entry: the root row carries
+    the record's epsilon in both columns and the record's proximity; each
+    later row divides the first-order epsilon by n^2, inverts
+    (1 - epsilon)^(n^2) exactly and is reported near_fermi, as derived
+    constituents of matter are.  Every row gives the parity of its n.
     """
     if not chain:
         raise ContractViolation("chain must not be empty")
@@ -205,30 +208,18 @@ def derive_chain(
         raise ContractViolation(
             f"species {root_species!r} does not resolve to a usable record"
         )
-    rows = [
-        ChainRow(
-            species=root_species,
-            n=1,
-            parity="odd",
-            epsilon_first_order=record.epsilon,
-            epsilon_exact=record.epsilon,
-            proximity=record.proximity,
-        )
-    ]
-    for species, n in chain[1:]:
-        if n < 1:
-            raise ContractViolation(f"chain entry {species!r} has n < 1")
-        previous = rows[-1]
-        rows.append(
-            ChainRow(
-                species=species,
-                n=n,
-                parity="even" if n % 2 == 0 else "odd",
-                epsilon_first_order=propagate_first_order(
-                    previous.epsilon_first_order, n
-                ),
-                epsilon_exact=propagate_exact(previous.epsilon_exact, n),
-                proximity="near_fermi",
-            )
-        )
+    first_order = exact = record.epsilon
+    proximity = record.proximity
+    rows = []
+    for species, n in chain:
+        if rows:
+            if n < 1:
+                raise ContractViolation(f"chain entry {species!r} has n < 1")
+            first_order = propagate_first_order(first_order, n)
+            exact = propagate_exact(exact, n)
+            proximity = "near_fermi"
+        rows.append(ChainRow(
+            species=species, n=n, parity="even" if n % 2 == 0 else "odd",
+            epsilon_first_order=first_order, epsilon_exact=exact, proximity=proximity,
+        ))
     return rows

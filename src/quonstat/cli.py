@@ -227,7 +227,7 @@ def _cmd_bounds_chain(args) -> int:
     path = args.input if args.input else bounds_mod.bundled_limits_path()
     records = bounds_mod.ingest_limits(path)
     rows = bounds_mod.derive_chain(records, _parse_chain(args.path))
-    print("species\tn\tparity\tepsilon_first_order\tepsilon_exact\tproximity")
+    print("\t".join(bounds_mod.ChainRow._fields))
     for row in rows:
         print(
             f"{row.species}\t{row.n}\t{row.parity}\t"

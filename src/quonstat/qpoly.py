@@ -159,13 +159,16 @@ class QPolynomial(Record):
         return bool(self.coefficients)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, QPolynomial):
-            return self.coefficients == other.coefficients
-        if isinstance(other, (int, Fraction)):
-            return self == QPolynomial((other,))
-        return NotImplemented
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.coefficients == other.coefficients
 
     def __hash__(self) -> int:
+        # a constant equals its number, so it hashes as that number (the
+        # zero polynomial as 0)
+        if len(self.coefficients) <= 1:
+            return hash(self.coefficient(0))
         return hash(self.coefficients)
 
     def __add__(self, other) -> "QPolynomial":

@@ -1,6 +1,9 @@
 """Limit propagation and dataset ingestion."""
 
 import math
+import re
+import warnings
+from contextlib import nullcontext
 
 import pytest
 
@@ -211,6 +214,25 @@ def test_derive_chain_unknown_species():
     records = load_bundled_limits()
     with pytest.raises(ContractViolation):
         derive_chain(records, [("unobtainium", 1)])
+
+
+LARGE = "epsilon={} is large; first-order propagation is only honest for small deviations"
+
+
+@pytest.mark.parametrize("chain, warned, error", [
+    ([("root", 1), ("a", 2), ("b", 0)], [LARGE.format(0.5)], "chain entry 'b' has n < 1"),
+    ([("root", 1), ("a", 2), ("b", 3)], [LARGE.format(0.5), LARGE.format(0.125)], None),
+    ([("nope", 1), ("b", 0)], [], "species 'nope' does not resolve to a usable record"),
+])
+def test_derive_chain_warns_and_refuses_in_chain_order(chain, warned, error):
+    # each level warns before the next level is checked; the root record
+    # is resolved before any level
+    records = [BoundRecord("root", "-", 1, 0.5, "near_bose", "synthetic")]
+    refused = pytest.raises(ContractViolation, match=re.escape(error)) if error else nullcontext()
+    with warnings.catch_warnings(record=True) as caught, refused:
+        warnings.simplefilter("always")
+        derive_chain(records, chain)
+    assert [str(w.message) for w in caught] == warned
 
 
 def test_derive_chain_rejects_bad_root_arity():

@@ -678,27 +678,35 @@ def test_bounds_propagate_refuses_non_finite_epsilon(capsys, epsilon):
 
 def test_large_epsilon_warning_is_one_stderr_line(tmp_path):
     # pytest captures warnings in-process, so the shown format is only
-    # visible from a separate interpreter
+    # visible from a separate interpreter; a chain warns level by level,
+    # so a bad level stops the walk after the warnings of the levels above
     limits = tmp_path / "limits.tsv"
-    limits.write_text("root\tx\t1\t0.5\tnear_fermi\tsynthetic\n")
+    limits.write_text("root\t-\t1\t0.5\tnear_bose\tsynthetic\n")
+    large = "warning: epsilon={} is large; first-order propagation is only honest for small deviations\n"
+    chain = ("bounds", "chain", "--input", str(limits), "--path")
+    two_levels = (
+        "species\tn\tparity\tepsilon_first_order\tepsilon_exact\tproximity\n"
+        "root\t1\todd\t5.000000e-01\t5.000000e-01\tnear_bose\n"
+        "a\t2\teven\t1.250000e-01\t1.591036e-01\tnear_fermi\n"
+    )
     cases = [
-        (("bounds", "propagate", "--epsilon", "0.5", "--n", "3"), 1, "5.556e-02"),
-        (
-            ("bounds", "chain", "--input", str(limits), "--path", "root,a:2,b:2"),
-            2,
-            "a\t2\teven\t1.250000e-01\t1.591036e-01\tnear_fermi",
-        ),
+        (("bounds", "propagate", "--epsilon", "0.5", "--n", "3"), 0, large.format(0.5),
+         "5.556e-02\n"),
+        ((*chain, "root,a:2,b:2"), 0, large.format(0.5) + large.format(0.125),
+         two_levels + "b\t2\teven\t3.125000e-02\t4.239672e-02\tnear_fermi\n"),
+        ((*chain, "root,a:2,b:3"), 0, large.format(0.5) + large.format(0.125),
+         two_levels + "b\t3\todd\t1.388889e-02\t1.906991e-02\tnear_fermi\n"),
+        ((*chain, "root,a:2,b:0"), 1,
+         large.format(0.5) + "error: chain entry 'b' has n < 1\n", ""),
+        ((*chain, "nope,b:0"), 1,
+         "error: species 'nope' does not resolve to a usable record\n", ""),
     ]
-    for argv, warnings, row in cases:
+    for argv, code, err, out in cases:
         result = subprocess.run(
             [sys.executable, "-m", "quonstat.cli", *argv],
             env=_child_env(), capture_output=True, text=True, timeout=60,
         )
-        assert result.returncode == 0, result.stderr
-        lines = result.stderr.splitlines()
-        assert len(lines) == warnings, lines
-        assert all(line.startswith("warning: epsilon=") for line in lines), lines
-        assert row in result.stdout.splitlines()
+        assert (result.returncode, result.stderr, result.stdout) == (code, err, out), argv
 
 
 def test_bounds_chain_bundled(capsys):

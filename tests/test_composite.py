@@ -139,6 +139,8 @@ def test_composite_word_symmetric_triple():
 
 
 def test_spec_validation():
+    with pytest.raises(ContractViolation, match="at least one constituent"):
+        CompositeSpec(0, (), preset_rep(2, "symmetric"))
     with pytest.raises(ContractViolation):
         CompositeSpec(n=2, internal_labels=(1, 1), rep=preset_rep(2, "symmetric"))
     with pytest.raises(ContractViolation):
@@ -367,37 +369,51 @@ def test_exchange_law_returns_the_products_it_verified():
     assert exponent == 9
 
 
+def _on_split(mutate):
+    """A patch of ``composite._split`` that mutates its result; ``mutate``
+    is told whether the product is the swapped one."""
+    def patch(split):
+        def misrouted(spec, left_tags, right_tags, blocks):
+            return mutate(split(spec, left_tags, right_tags, blocks), right_tags == ("t2", "t1"))
+        return misrouted
+    return patch
+
+
 # Each misrouting of the split's two block terms, on the aligned or the
-# swapped product, and the trip-wire of exchange_law it must fire.
+# swapped product, or of the block swap itself: the attribute of
+# ``composite`` it patches, the patch made from the original, and the
+# trip-wire of exchange_law it must fire.
 MISROUTES = {
     "swap_both": (
-        lambda r, swapped: r._replace(direct=r.exchange, exchange=r.direct),
+        "_split", _on_split(lambda r, swapped: r._replace(direct=r.exchange, exchange=r.direct)),
         "direct component does not equal the squared normalization polynomial",
     ),
     "swap_swapped": (
-        lambda r, swapped: r._replace(direct=r.exchange, exchange=r.direct) if swapped else r,
+        "_split", _on_split(
+            lambda r, swapped: r._replace(direct=r.exchange, exchange=r.direct) if swapped else r
+        ),
         "exchange component is not q^(n^2) times the direct component",
     ),
     "aligned_passes_both": (
-        lambda r, swapped: r if swapped else r._replace(exchange=r.direct),
+        "_split", _on_split(lambda r, swapped: r if swapped else r._replace(exchange=r.direct)),
         "aligned tags produced non-direct components",
     ),
     "swapped_passes_both": (
-        lambda r, swapped: r._replace(direct=r.exchange) if swapped else r,
+        "_split", _on_split(lambda r, swapped: r._replace(direct=r.exchange) if swapped else r),
         "swapped tags produced non-exchange components",
+    ),
+    "identity_block_swap": (
+        "block_swap",
+        lambda block_swap: lambda n: tuple(range(1, 2 * n + 1)),
+        "block swap of n=3 does not have n^2 inversions",
     ),
 }
 
 
 @pytest.mark.parametrize("misroute", MISROUTES)
 def test_exchange_law_trips_on_a_misrouted_block_term(monkeypatch, misroute):
-    mutate, message = MISROUTES[misroute]
-    split = composite._split
-
-    def misrouted(spec, left_tags, right_tags, blocks):
-        return mutate(split(spec, left_tags, right_tags, blocks), right_tags == ("t2", "t1"))
-
-    monkeypatch.setattr(composite, "_split", misrouted)
+    attribute, patch, message = MISROUTES[misroute]
+    monkeypatch.setattr(composite, attribute, patch(getattr(composite, attribute)))
     with pytest.raises(TheoremViolation, match=re.escape(message)):
         exchange_law(make_spec(3, preset_rep(3, "symmetric")))
 

@@ -779,6 +779,8 @@ def test_irrep_weights_range_checks():
     assert irrep_weight_polys(1) == {"trivial": QPolynomial.one()}
     with pytest.raises(ContractViolation, match="n must be >= 1"):
         irrep_weights(0, 0.0)
+    with pytest.raises(ContractViolation, match="n must be >= 1"):
+        irrep_blocks(0, 0.5)
     with pytest.raises(CapExceeded):
         irrep_weights(9, 0.0)
     with pytest.raises(ContractViolation):

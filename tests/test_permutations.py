@@ -97,6 +97,8 @@ def test_preset_rep_examples():
 
 
 def test_rep_coefficients_validation():
+    with pytest.raises(ContractViolation, match="RepCoefficients.n must be >= 1"):
+        RepCoefficients(0, {})
     with pytest.raises(ContractViolation):
         RepCoefficients(n=2, coeffs={})
     with pytest.raises(ContractViolation):

@@ -30,6 +30,25 @@ def test_reflected_subtraction_hash_and_truth_value():
     assert bool(ONE_PLUS_Q) and not QPolynomial.zero()
 
 
+@pytest.mark.parametrize("number", [0, 1, -2, Fraction(1, 2)], ids=str)
+def test_a_constant_polynomial_equals_and_hashes_as_its_number(number):
+    constant = QPolynomial([number])
+    assert constant == number and number == constant
+    assert hash(constant) == hash(number)
+    assert len({constant, number}) == 1
+    assert {number: "x"}.get(constant) == "x"
+    assert QPolynomial.q() != number
+
+
+def test_an_operand_that_is_not_a_number_is_refused():
+    for operation in (
+        lambda p: p + "x", lambda p: p - "x", lambda p: "x" - p, lambda p: p * "x",
+    ):
+        with pytest.raises(TypeError):
+            operation(ONE_PLUS_Q)
+    assert not ONE_PLUS_Q == "x"
+
+
 def test_add_hand_example():
     assert ONE_PLUS_Q + QPolynomial([0, 1, 1]) == QPolynomial([1, 2, 1])
 
@@ -84,6 +103,7 @@ def test_canonical_trailing_zeros():
     assert QPolynomial([1, 1, 0, 0]) == ONE_PLUS_Q
     assert QPolynomial([0, 0]).is_zero()
     assert QPolynomial([0]).degree == -1
+    assert [QPolynomial([1, 1, 0, 0]).coefficient(k) for k in range(4)] == [1, 1, 0, 0]
 
 
 def test_str_examples():

@@ -61,9 +61,12 @@ def test_record_is_immutable_and_compared_by_value(cls, fields):
     for name in fields:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
     with pytest.raises(AttributeError):
         record.extra = None
     assert cls(*fields.values()) == record
+    assert record != A
     assert copy.copy(record) == record
     assert repr(record).startswith(f"{cls.__name__}(")
 
