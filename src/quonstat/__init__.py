@@ -1,5 +1,10 @@
 """quonstat: exact quon (q-deformed) operator algebra, composite
-statistics, and Pauli-violation bound propagation."""
+statistics, and Pauli-violation bound propagation.
+
+The import block below is the list of public names: ``__all__`` is
+derived from it, so a name is made public by importing it here."""
+
+from types import ModuleType as _ModuleType
 
 from .bounds import (
     BoundRecord,
@@ -72,61 +77,10 @@ from .wick import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundRecord",
-    "CapExceeded",
-    "ChainRow",
-    "CharacterTable",
-    "CompositeSpec",
-    "ContractViolation",
-    "GramMatrix",
-    "LimitsFormatError",
-    "ModeLabel",
-    "ParseError",
-    "PsdReport",
-    "QPolynomial",
-    "QuonError",
-    "RepCoefficients",
-    "StateVector",
-    "TheoremViolation",
-    "TwoCompositeResult",
-    "UnsupportedError",
-    "all_permutations",
-    "block_swap",
-    "build_state",
-    "character_table",
-    "check_psd",
-    "compose",
-    "composite_word",
-    "cycle_type",
-    "delta_matrix",
-    "derive_chain",
-    "exchange_law",
-    "gram",
-    "identity",
-    "ingest_limits",
-    "inverse",
-    "inversion_number",
-    "irrep_blocks",
-    "irrep_weight_polys",
-    "irrep_weights",
-    "load_bundled_limits",
-    "normalization_poly",
-    "oracle_q_permanent",
-    "oracle_scalar_product",
-    "parse_polynomial",
-    "permutation_basis",
-    "preset_rep",
-    "propagate_exact",
-    "propagate_first_order",
-    "psd_report",
-    "q_permanent",
-    "random_rep",
-    "scalar_product",
-    "seminormal_form",
-    "sign",
-    "state_scalar_product",
-    "tensor",
-    "two_composite_scalar",
-    "weo_limit_check",
-]
+# the public names are those the imports above bind, less the submodules
+# that importing them binds on the package
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -9,8 +9,9 @@ its own checks and stops at the first bad entry or line.
 
 ``composite`` calls only the public ``composite`` API: ``exchange_law``
 for the direct, exchange and exponent lines, and under ``--overlap``
-first ``two_composite_scalar`` on four equal tags, which refuses n > 4
-by its S_2n cap before the law runs and otherwise forms its own P.
+first ``two_composite_scalar`` on four equal tags, which forms its own P.
+Under ``--overlap`` the S_2n cap of that product is checked before the
+rep is read, so n > 4 is refused before any preset or file is built.
 
 Exit codes: 0 success, 1 contract violations and a closed stdout, 2 parse
 errors.
@@ -36,7 +37,7 @@ from typing import Iterator
 from . import bounds as bounds_mod
 from . import composite as composite_mod
 from . import fock, wick
-from .errors import ContractViolation, ParseError, QuonError, read_rows
+from .errors import ContractViolation, ParseError, QuonError, read_rows, refuse_above_cap
 from .permutations import RepCoefficients, check_permutation, preset_rep
 from .wick import ModeLabel
 
@@ -177,12 +178,14 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_composite(args) -> int:
+    if args.overlap:
+        # the product of four equal tags is work over S_2n; past that cap
+        # it is refused before the rep is read
+        refuse_above_cap(2 * args.n)
     rep = _parse_rep(args.rep, args.n)
     spec = composite_mod.CompositeSpec(
         n=args.n, internal_labels=tuple(range(1, args.n + 1)), rep=rep
     )
-    # the product of four equal tags runs first, so past its S_2n cap it
-    # is refused before the law contracts anything
     if args.overlap:
         cross = composite_mod.two_composite_scalar(spec, ("t", "t"), ("t", "t")).cross
     aligned, swapped, exponent = composite_mod.exchange_law(spec)

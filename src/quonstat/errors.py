@@ -26,9 +26,12 @@ class CapExceeded(ContractViolation):
 def refuse_above_cap(k: int) -> None:
     """Refuse any work over S_k, k! elements, above DEFAULT_ENUM_CAP."""
     if k > DEFAULT_ENUM_CAP:
-        raise CapExceeded(
-            f"refusing work over S_{k} ({k}! elements); cap is {DEFAULT_ENUM_CAP}"
-        )
+        try:
+            group = f"S_{k} ({k}! elements)"
+        except ValueError:
+            # the interpreter refuses int-to-decimal conversions past its digit limit
+            group = "S_k for a k with too many digits to print"
+        raise CapExceeded(f"refusing work over {group}; cap is {DEFAULT_ENUM_CAP}")
 
 
 class UnsupportedError(QuonError):

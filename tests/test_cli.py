@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from oracles import pairwise_dp_scalar
 from test_composite import literal_classified
 
-from quonstat import QPolynomial, composite, fock, preset_rep, random_rep
+from quonstat import QPolynomial, cli, composite, fock, preset_rep, random_rep
 from quonstat.cli import COMMANDS, _parse_rep, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -568,14 +568,31 @@ def test_composite_contracts_each_product_once(monkeypatch, capsys, overlap, ful
     assert scalar_calls == [(tags, tags, (0, 0, []), start)] * full
 
 
-def test_composite_overlap_past_its_cap_is_refused_before_the_law(monkeypatch, capsys):
+@pytest.mark.parametrize("n, rep, group", [
+    ("5", "sym", "S_10 (10! elements)"),
+    ("8", "sym", "S_16 (16! elements)"),
+    ("9", "sym", "S_18 (18! elements)"),
+    # a bad rep file is not read, so the cap, not its parse error, is reported
+    ("5", "bad.tsv", "S_10 (10! elements)"),
+    # 2n has 4301 digits, past the interpreter's int-to-text limit
+    ("9" * 4300, "sym", "S_k for a k with too many digits to print"),
+], ids=["n5", "n8", "n9", "n5-bad-file", "n-4300-digits"])
+def test_composite_overlap_past_its_cap_is_refused_before_the_law(
+    monkeypatch, tmp_path, capsys, n, rep, group
+):
     def no_law(spec):
         raise AssertionError("exchange_law ran before the overlap cap was checked")
 
+    def no_rep(raw, n):
+        raise AssertionError("a rep was built before the overlap cap was checked")
+
     monkeypatch.setattr(composite, "exchange_law", no_law)
-    code, out, err = run(capsys, "composite", "--n", "8", "--rep", "sym", "--overlap")
+    monkeypatch.setattr(cli, "_parse_rep", no_rep)
+    monkeypatch.chdir(tmp_path)
+    Path("bad.tsv").write_text("not a rep\n")
+    code, out, err = run(capsys, "composite", "--n", n, "--rep", rep, "--overlap")
     assert (code, out) == (1, "")
-    assert err == "error: refusing work over S_16 (16! elements); cap is 8\n"
+    assert err == f"error: refusing work over {group}; cap is 8\n"
 
 
 def test_composite_one_term_rep_at_n10(tmp_path, capsys):

@@ -1,12 +1,14 @@
-"""The package's record classes: built by keyword as the library builds
-them, immutable, and compared by value."""
+"""The package's public names, and its record classes: built by keyword
+as the library builds them, immutable, and compared by value."""
 
 import copy
 import pickle
 from fractions import Fraction
+from types import ModuleType
 
 import pytest
 
+import quonstat
 from quonstat import (
     BoundRecord,
     ChainRow,
@@ -104,3 +106,27 @@ def test_records_with_dict_fields_hash_by_value():
     assert table[state_twin] == "state"
     assert table[spec_twin] == "spec"
     assert len({rep, twin, preset_rep(2, "antisymmetric")}) == 2
+
+
+def test_public_names_are_the_names_the_package_imports():
+    # __all__ is derived from the import block of the package, so it lists
+    # the public non-module names of the package and nothing else
+    names = quonstat.__all__
+    assert names == sorted(set(names))
+    values = [getattr(quonstat, name) for name in names]
+    assert not any(name.startswith("_") for name in names)
+    assert not any(isinstance(value, ModuleType) for value in values)
+    public = [
+        name for name, value in vars(quonstat).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    ]
+    assert names == sorted(public)
+    # each public object is one a submodule defines or imports; a helper of
+    # the package's own, such as the module type its filter tests, is not
+    submodules = [value for value in vars(quonstat).values() if isinstance(value, ModuleType)]
+    for name, value in zip(names, values):
+        assert any(value is bound for module in submodules for bound in vars(module).values()), name
+    namespace = {}
+    exec("from quonstat import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == names
