@@ -568,18 +568,7 @@ def test_composite_contracts_each_product_once(monkeypatch, capsys, overlap, ful
     assert scalar_calls == [(tags, tags, (0, 0, []), start)] * full
 
 
-@pytest.mark.parametrize("n, rep, group", [
-    ("5", "sym", "S_10 (10! elements)"),
-    ("8", "sym", "S_16 (16! elements)"),
-    ("9", "sym", "S_18 (18! elements)"),
-    # a bad rep file is not read, so the cap, not its parse error, is reported
-    ("5", "bad.tsv", "S_10 (10! elements)"),
-    # 2n has 4301 digits, past the interpreter's int-to-text limit
-    ("9" * 4300, "sym", "S_k for a k with too many digits to print"),
-], ids=["n5", "n8", "n9", "n5-bad-file", "n-4300-digits"])
-def test_composite_overlap_past_its_cap_is_refused_before_the_law(
-    monkeypatch, tmp_path, capsys, n, rep, group
-):
+def _refuse_overlap_before_the_rep(monkeypatch, tmp_path, capsys, n, rep):
     def no_law(spec):
         raise AssertionError("exchange_law ran before the overlap cap was checked")
 
@@ -590,7 +579,29 @@ def test_composite_overlap_past_its_cap_is_refused_before_the_law(
     monkeypatch.setattr(cli, "_parse_rep", no_rep)
     monkeypatch.chdir(tmp_path)
     Path("bad.tsv").write_text("not a rep\n")
-    code, out, err = run(capsys, "composite", "--n", n, "--rep", rep, "--overlap")
+    return run(capsys, "composite", "--n", n, "--rep", rep, "--overlap")
+
+
+def test_composite_overlap_past_its_cap_is_refused_before_the_law(
+    monkeypatch, tmp_path, capsys
+):
+    code, out, err = _refuse_overlap_before_the_rep(monkeypatch, tmp_path, capsys, "8", "sym")
+    assert (code, out) == (1, "")
+    assert err == "error: refusing work over S_16 (16! elements); cap is 8\n"
+
+
+@pytest.mark.parametrize("n, rep, group", [
+    ("5", "sym", "S_10 (10! elements)"),
+    ("9", "sym", "S_18 (18! elements)"),
+    # a bad rep file is not read, so the cap, not its parse error, is reported
+    ("5", "bad.tsv", "S_10 (10! elements)"),
+    # 2n has 4301 digits, past the interpreter's int-to-text limit
+    ("9" * 4300, "sym", "S_k for a k with too many digits to print"),
+], ids=["n5", "n9", "n5-bad-file", "n-4300-digits"])
+def test_composite_overlap_cap_names_s_2n_before_the_rep_is_read(
+    monkeypatch, tmp_path, capsys, n, rep, group
+):
+    code, out, err = _refuse_overlap_before_the_rep(monkeypatch, tmp_path, capsys, n, rep)
     assert (code, out) == (1, "")
     assert err == f"error: refusing work over {group}; cap is 8\n"
 
