@@ -38,7 +38,6 @@ from .fock import (
     PsdReport,
     StateVector,
     build_state,
-    check_psd,
     gram,
     irrep_blocks,
     irrep_weight_polys,

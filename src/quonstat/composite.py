@@ -37,10 +37,7 @@ of S_n and makes no engine call; P of a sparse rep, such as one term,
 is one engine call on n letters.  ``exchange_law`` feeds the pair to
 the split of both the aligned and the swapped product and checks
 c = n^2; ``two_composite_scalar`` forms it only when a whole block
-passes.  ``quonstat composite --overlap`` runs ``two_composite_scalar``
-on four equal tags before the law, so past the S_2n cap it is refused
-before any contraction; at n <= 4 it forms its own P and makes one
-engine call on 2n letters, the full product.
+passes.
 """
 
 from typing import Hashable, NamedTuple, Sequence
@@ -163,9 +160,7 @@ def two_composite_scalar(
     no block passes.  Engine calls: none for P of a dense rep (one for a
     sparse rep), plus one on 2n letters for the full product if a side
     repeats a tag.  A repeated tag is work over S_2n, refused for n > 4
-    before P is formed.  ``quonstat composite --overlap`` runs it on
-    four equal tags before ``exchange_law``, forming its own P at
-    n <= 4, and prints the cross component.
+    before P is formed.
     """
     return _split(spec, left_tags, right_tags, None)
 
@@ -185,8 +180,6 @@ def exchange_law(
     q^(n^2) * P^2; direct = P^2 checks which block the split let pass.
     Once c = n^2 and direct = P^2 hold, exchange = q^(n^2) * direct is
     checked against that q^(n^2) * P^2, so no second shift is formed.
-    ``quonstat composite --overlap`` runs ``two_composite_scalar`` on
-    four equal tags before the law, forming its own P at n <= 4.
     """
     n = spec.n
     squared, shifted, crossings = _whole_blocks(spec)

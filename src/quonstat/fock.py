@@ -337,26 +337,11 @@ class PsdReport(NamedTuple):
     q_in_range: bool
     witness: Optional[str]  # on failure, the first irrep whose block holds the minimum
 
-    def __str__(self) -> str:
-        verdict = "pass" if self.passed else "fail"
-        note = "" if self.q_in_range else " (q outside [-1, 1], convexity range)"
-        return f"{verdict}: min eigenvalue {self.min_eigenvalue:.6e}{note}"
 
-
-def check_psd(g: GramMatrix, q_value: float, tolerance: float | None = None) -> PsdReport:
-    """``psd_report`` of the labels whose permutation basis ``g`` is built
-    on; a Gram matrix of any other word list is refused."""
-    if g.words and list(g.words) != permutation_basis(g.words[0]):
-        raise UnsupportedError("check_psd needs the Gram matrix of a permutation basis")
-    return psd_report(g.words[0] if g.words else (), q_value, tolerance)
-
-
-def psd_report(
-    labels: Sequence[ModeLabel], q_value: float, tolerance: float | None = None
-) -> PsdReport:
+def psd_report(labels: Sequence[ModeLabel], q_value: float) -> PsdReport:
     """Test the minimum eigenvalue of ``gram(permutation_basis(labels))``
-    at q against -tolerance (default 1e-10 per matrix dimension), without
-    building that matrix.
+    at q against the fixed threshold -1e-10 * n!, 1e-10 per row of that
+    matrix, without building it.
 
     Let mu be the multiplicities of equal labels and H the group of the
     |H| = prod mu_i! place permutations that only move equal labels.  The
@@ -379,8 +364,6 @@ def psd_report(
     if n == 0:
         raise ContractViolation("the PSD check needs a non-empty Gram matrix")
     refuse_above_cap(n)
-    if tolerance is not None and not 0 < tolerance < math.inf:
-        raise ContractViolation(f"tolerance must be positive and finite, got {tolerance}")
     x = _finite_q(q_value)
     top_power = QPolynomial.monomial(n * (n - 1) // 2).evaluate(x)
     if not math.isfinite(top_power):
@@ -400,9 +383,7 @@ def psd_report(
     min_eig = min(value for value, _ in candidates)
     if not math.isfinite(min_eig):
         raise ContractViolation(f"the Gram matrix overflows a float at q = {q_value}")
-    if tolerance is None:
-        tolerance = 1e-10 * math.factorial(n)
-    passed = min_eig >= -tolerance
+    passed = min_eig >= -1e-10 * math.factorial(n)
     # as |q| grows, every irrep holding the eigenvalue -1 of the longest
     # permutation tends to the same minimum, and their blocks differ by
     # about 1/|q| relative: name the first irrep in partitions order

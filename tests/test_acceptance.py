@@ -16,7 +16,6 @@ from quonstat import (
     ModeLabel,
     QPolynomial,
     block_swap,
-    check_psd,
     derive_chain,
     gram,
     irrep_weights,
@@ -25,6 +24,7 @@ from quonstat import (
     oracle_q_permanent,
     permutation_basis,
     preset_rep,
+    psd_report,
     q_permanent,
     random_rep,
     scalar_product,
@@ -165,7 +165,7 @@ def test_criterion_6_gram_positivity():
         g = gram(permutation_basis(labels))
         assert g.dimension == math.factorial(n)
         for q_value in (-0.99, -0.5, 0.0, 0.5, 0.99):
-            report = check_psd(g, q_value, tolerance=1e-10 * g.dimension)
+            report = psd_report(labels, q_value)
             assert report.passed, (n, q_value, report.min_eigenvalue)
     _report(6, "Gram positivity", started, budget=30.0)
 

@@ -22,7 +22,6 @@ from quonstat import (
     all_permutations,
     build_state,
     character_table,
-    check_psd,
     compose,
     gram,
     inverse,
@@ -393,45 +392,33 @@ def test_irrep_weights_are_projected_norms_matching_pairwise_sum(monkeypatch):
             assert polys[n] == pairwise_irrep_weights(n)
 
 
-def test_check_psd_examples():
-    g = gram(permutation_basis(labels(2)))
-    report = check_psd(g, 0.5)
+def test_check_psd_examples(monkeypatch):
+    word = labels(2)
+    report = psd_report(word, 0.5)
     assert report.passed
     assert report.min_eigenvalue == pytest.approx(0.5)
-    assert str(report) == "pass: min eigenvalue 5.000000e-01"
-    report = check_psd(g, -1.0)
+    report = psd_report(word, -1.0)
     assert report.passed
     assert report.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
-    report = check_psd(g, -1.5)
+    report = psd_report(word, -1.5)
     assert not report.passed
     assert report.min_eigenvalue == pytest.approx(-0.5)
     assert not report.q_in_range
     assert report.witness == "trivial"
-    assert str(report) == "fail: min eigenvalue -5.000000e-01 (q outside [-1, 1], convexity range)"
+    # the threshold is fixed at -1e-10 * n!: -2e-10 for ab, -6e-10 for abc.
+    # At q = 0.5 the blocks are unscaled, so every block's minimum is the
+    # patched value itself, and a failure names the first irrep, trivial
+    for word, inside, outside in (("ab", -1.99e-10, -2.01e-10), ("abc", -5.99e-10, -6.01e-10)):
+        for value, passed in ((inside, True), (outside, False)):
+            monkeypatch.setattr(fock, "_min_eigenvalue", lambda block: value)
+            report = psd_report(word, 0.5)
+            assert (report.passed, report.witness) == (passed, None if passed else "trivial")
+            assert report.min_eigenvalue == value
 
 
 def test_psd_check_refuses_an_empty_matrix():
     with pytest.raises(ContractViolation, match="non-empty"):
-        check_psd(gram([]), 0.5)
-    with pytest.raises(ContractViolation, match="non-empty"):
         psd_report([], 0.5)
-
-
-def test_check_psd_tolerance_validation():
-    g = gram(permutation_basis(labels(2)))
-    with pytest.raises(ContractViolation):
-        check_psd(g, 0.5, tolerance=-1e-3)
-
-
-def test_a_nan_tolerance_is_refused():
-    # NaN compares false with 0 both ways; it must not turn a pass into
-    # fail.  An infinite tolerance would pass every matrix
-    g = gram(permutation_basis("abc"))
-    for tolerance in (math.nan, math.inf):
-        with pytest.raises(ContractViolation, match="tolerance must be positive"):
-            psd_report("abc", 0.5, tolerance=tolerance)
-        with pytest.raises(ContractViolation, match="tolerance must be positive"):
-            check_psd(g, 0.5, tolerance=tolerance)
 
 
 def test_gram_refuses_more_than_720_words_at_once(monkeypatch):
@@ -458,13 +445,10 @@ def test_gram_evaluation_refuses_non_finite_q():
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ContractViolation):
             g.evaluate(value)
-        with pytest.raises(ContractViolation):
-            check_psd(g, value)
     # finite q whose cube overflows a float
     g = gram(permutation_basis(labels(3)))
-    for call in (g.evaluate, lambda q: check_psd(g, q)):
-        with pytest.raises(ContractViolation, match=r"q = 1e\+200"):
-            call(1e200)
+    with pytest.raises(ContractViolation, match=r"q = 1e\+200"):
+        g.evaluate(1e200)
 
 
 
@@ -529,7 +513,6 @@ def test_psd_minimum_matches_the_recorded_eigvalsh_minimum():
             report = psd_report(word, q)
             assert report.dimension == g.dimension
             assert abs(report.min_eigenvalue - expected) <= 1e-12 * math.factorial(n) * largest
-            assert report == check_psd(g, q)
 
 
 def test_failing_report_names_the_irrep_of_the_minimum():
@@ -636,16 +619,6 @@ def test_psd_report_refuses_wherever_evaluate_refuses():
     with pytest.raises(CapExceeded, match="cap is 8"):
         psd_report("abcdefghi", 0.5)
 
-
-def test_check_psd_needs_a_permutation_basis():
-    basis = permutation_basis(labels(3))
-    # the reversed basis is the permutation basis of the reversed labels
-    assert check_psd(gram(basis[::-1]), 0.5) == check_psd(gram(basis), 0.5)
-    for words in ([(A, B)], basis[:3], basis[1:] + basis[:1], [(A, B), (B, A), (A, B)]):
-        with pytest.raises(UnsupportedError, match="permutation basis"):
-            check_psd(gram(words), 0.5)
-    assert check_psd(gram(basis), 0.5).passed
-    assert check_psd(gram(permutation_basis((A, A, B))), 0.5).min_eigenvalue == 0.0
 
 def test_state_scalar_product_bilinearity():
     s1 = build_state((A, B), preset_rep(2, "symmetric"))

@@ -67,6 +67,16 @@ def test_record_is_immutable_and_compared_by_value(cls, fields):
             delattr(record, name)
     with pytest.raises(AttributeError):
         record.extra = None
+    # a dict field is stored read-only, so its items, and with them the
+    # record's hash, cannot change once the constructor has checked them
+    for name in (name for name, value in fields.items() if isinstance(value, dict)):
+        mapping = getattr(record, name)
+        key = next(iter(mapping))
+        with pytest.raises(TypeError):
+            mapping[key] = None
+        with pytest.raises(TypeError):
+            del mapping[key]
+        assert mapping == fields[name]
     assert cls(*fields.values()) == record
     assert record != A
     assert copy.copy(record) == record
