@@ -64,15 +64,7 @@ from .permutations import (
     sign,
 )
 from .qpoly import QPolynomial
-from .qpoly import parse as parse_polynomial
-from .wick import (
-    ModeLabel,
-    delta_matrix,
-    oracle_q_permanent,
-    oracle_scalar_product,
-    q_permanent,
-    scalar_product,
-)
+from .wick import ModeLabel, q_permanent, scalar_product
 
 __version__ = "0.1.0"
 

@@ -75,11 +75,12 @@ def _nonzero(epsilon: float, epsilon_composite: float, n_sq: int) -> float:
 
 
 def propagate_first_order(epsilon_composite: float, n: int) -> float:
-    """Constituent deviation at first order: epsilon / n^2.  A result that
-    underflows to zero is refused."""
+    """Constituent deviation at first order: epsilon / n^2.  Like a
+    ``BoundRecord``, epsilon must lie in (0, 2]; a result that underflows to
+    zero is refused."""
     n_sq = _squared(n)
-    if not (math.isfinite(epsilon_composite) and epsilon_composite > 0):
-        raise ContractViolation("epsilon must be positive and finite")
+    if not 0 < epsilon_composite <= 2:
+        raise ContractViolation("epsilon must satisfy 0 < epsilon <= 2")
     if epsilon_composite > FIRST_ORDER_HONEST_RANGE:
         warnings.warn(
             f"epsilon={epsilon_composite} is large; first-order propagation is "

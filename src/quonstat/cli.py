@@ -13,8 +13,8 @@ first ``two_composite_scalar`` on four equal tags, which forms its own P.
 Under ``--overlap`` the S_2n cap of that product is checked before the
 rep is read, so n > 4 is refused before any preset or file is built.
 
-Exit codes: 0 success, 1 contract violations and a closed stdout, 2 parse
-errors.
+Exit codes: 0 success, 1 contract violations, a closed stdout and out of
+memory, 2 parse errors.
 
 ``main`` returns the exit code and leaves the collector as it found it,
 so in-process callers keep a collectable heap.  ``run``, the entry point
@@ -341,6 +341,10 @@ def main(argv=None) -> int:
         return 2
     except QuonError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # the unwound frames have released what the failed step held
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

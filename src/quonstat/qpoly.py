@@ -5,7 +5,10 @@ Coefficients are exact rationals in one canonical form, decided here by
 every contraction amplitude in the package is an exact object and equality
 of amplitudes is structural equality.  The canonical form stores ascending
 powers with the trailing (highest-power) coefficient nonzero; the zero
-polynomial is the empty coefficient tuple.
+polynomial is the empty coefficient tuple.  ``str`` renders the text
+format every command prints, ascending powers with rationals as 'p/q'
+(``1 + 2*q + q^3``).  The package only writes that format; the parser
+that reads it back is a test oracle in ``tests/oracles.py``.
 
 The heavy computations hold each polynomial as one integer with a
 fixed-width signed field per power of q (Kronecker substitution), and
@@ -25,17 +28,13 @@ Fraction(3, 2)
 """
 
 import math
-import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import ContractViolation, ParseError
+from .errors import ContractViolation
 from .record import Record
 
 Coefficient = Union[int, Fraction]
-
-# compiled by ``re``'s own cache on the first ``parse``, not at import
-_TERM_PATTERN = r"^(?:(?P<coef>\d+(?:/\d+)?)\*?)?(?P<var>q(?:\^(?P<exp>\d+))?)?$"
 
 
 def _exact(value) -> Coefficient:
@@ -283,36 +282,3 @@ def _term_str(power: int, c: Coefficient) -> str:
     var = "q" if power == 1 else f"q^{power}"
     return var if c == 1 else f"{coef}*{var}"
 
-
-def parse(text: str) -> QPolynomial:
-    """Parse the rendering produced by ``str``: ascending powers, terms
-    joined by ' + ' / ' - ', rationals as 'p/q', e.g. '1 + 2*q + q^3'."""
-    s = text.strip()
-    if not s:
-        raise ParseError("empty polynomial text")
-    # split into signed terms at top level
-    chunks = re.split(r"(?=[+-])", s.replace(" ", ""))
-    coeffs: dict[int, Coefficient] = {}
-    for chunk in chunks:
-        if not chunk:
-            continue
-        sign = 1
-        body = chunk
-        if body[0] in "+-":
-            sign = -1 if body[0] == "-" else 1
-            body = body[1:]
-        m = re.match(_TERM_PATTERN, body)
-        if not m or (m.group("coef") is None and m.group("var") is None):
-            raise ParseError(f"bad polynomial term {chunk!r} in {text!r}")
-        try:
-            coef = _exact(m.group("coef")) if m.group("coef") else 1
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator in term {chunk!r} of {text!r}") from None
-        if m.group("var") is None:
-            power = 0
-        elif m.group("exp") is None:
-            power = 1
-        else:
-            power = int(m.group("exp"))
-        coeffs[power] = coeffs.get(power, 0) + sign * coef
-    return QPolynomial(coeffs.get(k, 0) for k in range(max(coeffs) + 1))

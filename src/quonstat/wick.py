@@ -7,16 +7,11 @@ label deltas weighted by q to the inversion number of R (the minimum
 number of crossings of the contraction lines).  Words of different length
 give zero because an operator is left over to annihilate the vacuum.
 
-Two independent evaluation paths are provided on purpose:
-
-* ``oracle_scalar_product`` / ``oracle_q_permanent`` enumerate all n!
-  pairings literally and serve as the ground truth; being work over S_n,
-  they are refused above the S_k cap, n > 8;
-* ``scalar_product`` runs the contraction engine ``contract_terms``, which
-  applies the left word as quon annihilators to the right word and
-  returns the whole product as one polynomial; the state products of
-  ``fock``, all but the norm of a dense rep, and the two-composite
-  products of ``composite`` go through the same engine.
+``scalar_product`` runs the contraction engine ``contract_terms``, which
+applies the left word as quon annihilators to the right word and returns
+the whole product as one polynomial; the state products of ``fock``, all
+but the norm of a dense rep, and the two-composite products of
+``composite`` go through the same engine.
 
 ``q_permanent`` evaluates the same weighted sum for an arbitrary square
 matrix by a dynamic program over subsets of used columns, with at most
@@ -25,14 +20,14 @@ row visits only the masks the previous row reached.  The engine and the
 DP hold each polynomial packed as one integer, in the codec that
 ``qpoly`` owns, so a shift by q^j is one ``<<`` and a merge one ``+``.
 
-All paths return exact `QPolynomial` values and must agree identically.
+Both return exact `QPolynomial` values.  The brute-force enumeration of
+all n! pairings that checks them is a test oracle in ``tests/oracles.py``.
 """
 
 import math
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import Q_PERMANENT_CAP, CapExceeded, ContractViolation
-from .permutations import all_permutations, inversion_number
 from .qpoly import QPolynomial, _clear_denominators, _field_width, _unpack
 
 
@@ -53,11 +48,6 @@ class ModeLabel(NamedTuple):
 
 
 Word = tuple[ModeLabel, ...]
-
-
-def delta_matrix(left: Sequence[ModeLabel], right: Sequence[ModeLabel]) -> list[list[int]]:
-    """0/1 matrix of label coincidences, entry (i, j) = delta(left_i, right_j)."""
-    return [[1 if a == b else 0 for b in right] for a in left]
 
 
 def q_permanent(matrix: Sequence[Sequence]) -> QPolynomial:
@@ -136,22 +126,6 @@ def q_permanent(matrix: Sequence[Sequence]) -> QPolynomial:
             return QPolynomial.zero()
         frontier = reached
     return _unpack(slots[-1], width, denominator)
-
-
-def oracle_q_permanent(matrix: Sequence[Sequence]) -> QPolynomial:
-    """Ground truth for ``q_permanent``: explicit sum over all n! bijections."""
-    n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise ContractViolation("q_permanent requires a square matrix")
-    if n == 0:
-        return QPolynomial.one()
-    coeffs = [0] * (n * (n - 1) // 2 + 1)
-    for bijection in all_permutations(n):
-        prod = math.prod(matrix[i][j - 1] for i, j in enumerate(bijection))
-        if prod:
-            coeffs[inversion_number(bijection)] += prod
-    return QPolynomial(coeffs)
 
 
 def contract_terms(left: Iterable, right: Iterable) -> QPolynomial:
@@ -234,9 +208,3 @@ def scalar_product(left: Word, right: Word) -> QPolynomial:
         )
     return contract_terms([(left, 1)], [(right, 1)])
 
-
-def oracle_scalar_product(left: Word, right: Word) -> QPolynomial:
-    """Vacuum scalar product by brute-force pairing enumeration."""
-    if len(left) != len(right):
-        return QPolynomial.zero()
-    return oracle_q_permanent(delta_matrix(left, right))

@@ -1,8 +1,15 @@
 """Test-only reference implementations, kept independent of the
 contraction engine in ``quonstat.wick`` and of the packed product and the
-float evaluation in ``quonstat.qpoly`` so the tests can check them."""
+float evaluation in ``quonstat.qpoly`` so the tests can check them.
+
+The brute-force pairing oracle (``oracle_q_permanent``,
+``oracle_scalar_product`` and ``delta_matrix``) sums over all n! pairings
+through ``quonstat.all_permutations``, so it is refused past the S_k cap,
+n > 8.  ``parse`` reads back the text that ``QPolynomial.__str__`` writes."""
 
 import math
+import re
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,13 +23,14 @@ from quonstat import (
     StateVector,
     all_permutations,
     character_table,
-    delta_matrix,
     gram,
+    inversion_number,
     normalization_poly,
     q_permanent,
 )
-from quonstat.errors import Q_PERMANENT_CAP
-from quonstat.qpoly import _clear_denominators, _field_width, _unpack
+from quonstat.errors import Q_PERMANENT_CAP, ParseError
+from quonstat.qpoly import Coefficient, _clear_denominators, _exact, _field_width, _unpack
+from quonstat.wick import Word
 
 # The character tables of S_2..S_4 as they were once bundled with the
 # package, typed from the textbook tables: (cycle type, class size) per
@@ -341,3 +349,69 @@ def level_dp_q_permanent(matrix) -> QPolynomial:
             return QPolynomial.zero()
     (value,) = level.values()
     return _unpack(value, width, denominator)
+
+
+def delta_matrix(left: Sequence[ModeLabel], right: Sequence[ModeLabel]) -> list[list[int]]:
+    """0/1 matrix of label coincidences, entry (i, j) = delta(left_i, right_j)."""
+    return [[1 if a == b else 0 for b in right] for a in left]
+
+
+def oracle_q_permanent(matrix: Sequence[Sequence]) -> QPolynomial:
+    """Ground truth for ``q_permanent``: explicit sum over all n! bijections."""
+    n = len(matrix)
+    for row in matrix:
+        if len(row) != n:
+            raise ContractViolation("q_permanent requires a square matrix")
+    if n == 0:
+        return QPolynomial.one()
+    coeffs = [0] * (n * (n - 1) // 2 + 1)
+    for bijection in all_permutations(n):
+        prod = math.prod(matrix[i][j - 1] for i, j in enumerate(bijection))
+        if prod:
+            coeffs[inversion_number(bijection)] += prod
+    return QPolynomial(coeffs)
+
+
+def oracle_scalar_product(left: Word, right: Word) -> QPolynomial:
+    """Vacuum scalar product by brute-force pairing enumeration."""
+    if len(left) != len(right):
+        return QPolynomial.zero()
+    return oracle_q_permanent(delta_matrix(left, right))
+
+
+# compiled by ``re``'s own cache on the first ``parse``, not at import
+_TERM_PATTERN = r"^(?:(?P<coef>\d+(?:/\d+)?)\*?)?(?P<var>q(?:\^(?P<exp>\d+))?)?$"
+
+
+def parse(text: str) -> QPolynomial:
+    """Parse the rendering produced by ``str``: ascending powers, terms
+    joined by ' + ' / ' - ', rationals as 'p/q', e.g. '1 + 2*q + q^3'."""
+    s = text.strip()
+    if not s:
+        raise ParseError("empty polynomial text")
+    # split into signed terms at top level
+    chunks = re.split(r"(?=[+-])", s.replace(" ", ""))
+    coeffs: dict[int, Coefficient] = {}
+    for chunk in chunks:
+        if not chunk:
+            continue
+        sign = 1
+        body = chunk
+        if body[0] in "+-":
+            sign = -1 if body[0] == "-" else 1
+            body = body[1:]
+        m = re.match(_TERM_PATTERN, body)
+        if not m or (m.group("coef") is None and m.group("var") is None):
+            raise ParseError(f"bad polynomial term {chunk!r} in {text!r}")
+        try:
+            coef = _exact(m.group("coef")) if m.group("coef") else 1
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in term {chunk!r} of {text!r}") from None
+        if m.group("var") is None:
+            power = 0
+        elif m.group("exp") is None:
+            power = 1
+        else:
+            power = int(m.group("exp"))
+        coeffs[power] = coeffs.get(power, 0) + sign * coef
+    return QPolynomial(coeffs.get(k, 0) for k in range(max(coeffs) + 1))

@@ -11,6 +11,8 @@ import random
 import time
 from itertools import permutations as bijections
 
+from oracles import oracle_q_permanent
+
 from quonstat import (
     CompositeSpec,
     ModeLabel,
@@ -21,7 +23,6 @@ from quonstat import (
     irrep_weights,
     load_bundled_limits,
     normalization_poly,
-    oracle_q_permanent,
     permutation_basis,
     preset_rep,
     psd_report,

@@ -322,7 +322,7 @@ def test_gram_refuses_non_finite_q(capsys, q):
         (["gram", "--labels", "a,b"], "--q", "-inf", [],
          (1, "", "error: q must be a finite number, got -inf\n")),
         (["bounds", "propagate"], "--epsilon", "-1e-3", ["--n", "3"],
-         (1, "", "error: epsilon must be positive and finite\n")),
+         (1, "", "error: epsilon must satisfy 0 < epsilon <= 2\n")),
     ],
 )
 def test_negative_number_in_exponent_form_is_a_value(capsys, head, option, value, tail, expected):
@@ -336,7 +336,7 @@ FLOAT_OPTIONS = [
      "error: q must be a finite number, got {value}\n"),
     (["weights", "--n", "3"], "--q", [], "error: irrep weights require -1 < q < 1\n"),
     (["bounds", "propagate"], "--epsilon", ["--n", "3"],
-     "error: epsilon must be positive and finite\n"),
+     "error: epsilon must satisfy 0 < epsilon <= 2\n"),
 ]
 
 
@@ -435,7 +435,9 @@ def test_composite_exponent_quark_model(capsys):
     assert lines["exponent"] == "9"
     assert lines["cross"] == "0"
     # exchange is q^9 times direct
-    from quonstat import QPolynomial, parse_polynomial
+    from oracles import parse as parse_polynomial
+
+    from quonstat import QPolynomial
 
     direct = parse_polynomial(lines["direct"])
     exchange = parse_polynomial(lines["exchange"])
@@ -615,6 +617,18 @@ def test_composite_one_term_rep_at_n10(tmp_path, capsys):
     assert out.splitlines()[-2:] == ["cross\t0", "exponent\t100"]
 
 
+def test_composite_out_of_memory_is_a_one_line_error(monkeypatch, capsys):
+    # a one-term rep at n = 6000 under a 400 MB address limit fails this
+    # way while it builds the dense q^(n^2)
+    def no_memory(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(composite, "exchange_law", no_memory)
+    assert run(capsys, "composite", "--n", "3", "--rep", "sym") == (
+        1, "", "error: out of memory\n"
+    )
+
+
 def test_norm_of_a_one_term_rep_past_the_recursion_limit(tmp_path, capsys):
     # a rep file of one term has no n cap; its one word is 1200 letters long
     path = tmp_path / "one.tsv"
@@ -694,7 +708,9 @@ def test_bounds_propagate_contract_violation(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+# both rules refuse an epsilon past 2, the range of a BoundRecord, as they
+# refuse a non-finite one
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "3", "1e6"])
 def test_bounds_propagate_refuses_non_finite_epsilon(capsys, epsilon):
     for extra in ((), ("--exact",)):
         code, out, err = run(
@@ -702,6 +718,7 @@ def test_bounds_propagate_refuses_non_finite_epsilon(capsys, epsilon):
         )
         assert (code, out) == (1, "")
         assert "epsilon" in err
+        assert len(err.splitlines()) == 1
 
 
 def test_large_epsilon_warning_is_one_stderr_line(tmp_path):

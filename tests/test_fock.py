@@ -30,7 +30,6 @@ from quonstat import (
     irrep_weight_polys,
     irrep_weights,
     normalization_poly,
-    oracle_scalar_product,
     permutation_basis,
     preset_rep,
     psd_report,
@@ -44,6 +43,7 @@ from oracles import (
     MIN_EIGENVALUE_QS,
     MIN_EIGENVALUES,
     exact_pivots,
+    oracle_scalar_product,
     pairwise_irrep_weights,
     projected_norm_irrep_weights,
 )

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from oracles import level_dp_q_permanent
+from oracles import delta_matrix, level_dp_q_permanent, oracle_q_permanent, oracle_scalar_product
 
 from quonstat import (
     CapExceeded,
@@ -13,10 +13,7 @@ from quonstat import (
     ModeLabel,
     QPolynomial,
     all_permutations,
-    delta_matrix,
     inversion_number,
-    oracle_q_permanent,
-    oracle_scalar_product,
     q_permanent,
     scalar_product,
 )
