@@ -24,6 +24,14 @@ FIRST_ORDER_HONEST_RANGE = 0.1
 BUNDLED_DATASET = "statistics_limits.tsv"
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """Refuse an epsilon outside (0, 2], where the parameter 1 - epsilon
+    lies in [-1, 1); nan and +-inf are refused too.  Records and both
+    propagation rules share this one range."""
+    if not 0 < epsilon <= 2:
+        raise ContractViolation("epsilon must satisfy 0 < epsilon <= 2")
+
+
 class BoundRecord(Record):
     """One experimental limit: species, what it is composed of, and the
     measured deviation from exact statistics."""
@@ -45,8 +53,7 @@ class BoundRecord(Record):
     ):
         if n_constituents < 1:
             raise ContractViolation("n_constituents must be >= 1")
-        if not 0 < epsilon <= 2:
-            raise ContractViolation("epsilon must satisfy 0 < epsilon <= 2")
+        _check_epsilon(epsilon)
         if proximity not in PROXIMITIES:
             raise ContractViolation(f"proximity must be one of {PROXIMITIES}")
         self._set(
@@ -79,8 +86,7 @@ def propagate_first_order(epsilon_composite: float, n: int) -> float:
     ``BoundRecord``, epsilon must lie in (0, 2]; a result that underflows to
     zero is refused."""
     n_sq = _squared(n)
-    if not 0 < epsilon_composite <= 2:
-        raise ContractViolation("epsilon must satisfy 0 < epsilon <= 2")
+    _check_epsilon(epsilon_composite)
     if epsilon_composite > FIRST_ORDER_HONEST_RANGE:
         warnings.warn(
             f"epsilon={epsilon_composite} is large; first-order propagation is "
@@ -93,13 +99,14 @@ def propagate_first_order(epsilon_composite: float, n: int) -> float:
 def propagate_exact(epsilon_composite: float, n: int) -> float:
     """Exact inversion of 1 - eps_composite = (1 - eps_constituent)^(n^2).
 
-    Agrees with the first-order rule to O(eps^2).  For eps > 1 the
-    composite parameter is negative, which has a real constituent root
-    only when n is odd.  A result that underflows to zero is refused.
+    Agrees with the first-order rule to O(eps^2).  Like a ``BoundRecord``,
+    eps must lie in (0, 2].  For eps > 1 the composite parameter is
+    negative, which has a real constituent root only when n is odd; so
+    eps = 2, a composite parameter of -1, gives 2 for odd n and is
+    refused for even n.  A result that underflows to zero is refused.
     """
     n_sq = _squared(n)
-    if not 0 < epsilon_composite < 2:
-        raise ContractViolation("epsilon must lie in (0, 2)")
+    _check_epsilon(epsilon_composite)
     if epsilon_composite == 1:
         return 1.0
     if epsilon_composite < 1:

@@ -1,12 +1,13 @@
 """Exception hierarchy shared by all quonstat modules, the caps that
-refuse exponential work (one per kind of work, all kept here) and
+refuse exponential work (one per kind of work, all kept here),
+``refuse_above_cap``, the one place that refuses work past a cap, and
 ``read_rows``, the one reader of input files: rep, matrix and limits
 files are all UTF-8 lines of tab-separated fields."""
 
 import codecs
 
 DEFAULT_ENUM_CAP = 8  # work over S_k: enumerations, tables, PSD blocks, oracle, overlap
-Q_PERMANENT_CAP = 16  # 2^16 subset states; also the longest scalar_product word
+Q_PERMANENT_CAP = 16  # 2^16 subset states; also the longest scalar_product and gram word
 GRAM_CAP = 720  # words a Gram matrix may have: the permutation basis of 6 labels
 
 
@@ -20,18 +21,24 @@ class ContractViolation(QuonError):
 
 class CapExceeded(ContractViolation):
     """Work past DEFAULT_ENUM_CAP, Q_PERMANENT_CAP or GRAM_CAP was refused
-    before any of it was done."""
+    before any of it was done; raised only by ``refuse_above_cap``."""
 
 
-def refuse_above_cap(k: int) -> None:
-    """Refuse any work over S_k, k! elements, above DEFAULT_ENUM_CAP."""
-    if k > DEFAULT_ENUM_CAP:
+def refuse_above_cap(
+    size: int, cap: int = DEFAULT_ENUM_CAP, what: str = "work over S_{0} ({0}! elements)"
+) -> None:
+    """Refuse work of ``size`` past ``cap`` with CapExceeded
+    ``refusing <what>; cap is <cap>``, where ``what`` names the work with
+    ``{0}`` for its size.  By default the work is over S_size and the cap
+    is DEFAULT_ENUM_CAP."""
+    if size > cap:
         try:
-            group = f"S_{k} ({k}! elements)"
+            what = what.format(size)
         except ValueError:
-            # the interpreter refuses int-to-decimal conversions past its digit limit
-            group = "S_k for a k with too many digits to print"
-        raise CapExceeded(f"refusing work over {group}; cap is {DEFAULT_ENUM_CAP}")
+            # the interpreter refuses int-to-decimal conversions past its digit
+            # limit; only k of S_k is a typed count rather than a length
+            what = "work over S_k for a k with too many digits to print"
+        raise CapExceeded(f"refusing {what}; cap is {cap}")
 
 
 class UnsupportedError(QuonError):

@@ -46,7 +46,6 @@ from .errors import (
     DEFAULT_ENUM_CAP,
     GRAM_CAP,
     Q_PERMANENT_CAP,
-    CapExceeded,
     ContractViolation,
     UnsupportedError,
     refuse_above_cap,
@@ -288,8 +287,7 @@ def gram(words: Sequence[Word]) -> GramMatrix:
     earlier rows' column i.
     """
     words = tuple(tuple(w) for w in words)
-    if len(words) > GRAM_CAP:
-        raise CapExceeded(f"gram is capped at {GRAM_CAP} words, got {len(words)}")
+    refuse_above_cap(len(words), GRAM_CAP, "a Gram matrix of {0} words")
     if not words:
         return GramMatrix(words=(), entries=())
     length = len(words[0])
@@ -297,8 +295,7 @@ def gram(words: Sequence[Word]) -> GramMatrix:
         raise ContractViolation("gram requires equal-length words")
     # the engine's cap, checked first: it keeps every label code and the
     # sentinel within the range of chr
-    if length > Q_PERMANENT_CAP:
-        raise CapExceeded(f"gram is capped at {Q_PERMANENT_CAP} letters per word, got {length}")
+    refuse_above_cap(length, Q_PERMANENT_CAP, "a Gram matrix of words of {0} letters")
     codes: dict = {}
     strings = ["".join([codes.setdefault(label, chr(len(codes))) for label in w]) for w in words]
     sentinel = chr(length)

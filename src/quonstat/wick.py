@@ -27,7 +27,7 @@ all n! pairings that checks them is a test oracle in ``tests/oracles.py``.
 import math
 from typing import Hashable, Iterable, NamedTuple, Sequence
 
-from .errors import Q_PERMANENT_CAP, CapExceeded, ContractViolation
+from .errors import Q_PERMANENT_CAP, ContractViolation, refuse_above_cap
 from .qpoly import QPolynomial, _clear_denominators, _field_width, _unpack
 
 
@@ -76,8 +76,7 @@ def q_permanent(matrix: Sequence[Sequence]) -> QPolynomial:
             raise ContractViolation("q_permanent requires a square matrix")
     if n == 0:
         return QPolynomial.one()
-    if n > Q_PERMANENT_CAP:
-        raise CapExceeded(f"q_permanent cap is {Q_PERMANENT_CAP} rows, got {n}")
+    refuse_above_cap(n, Q_PERMANENT_CAP, "a q-permanent of {0} rows")
     # zero row or column forces every bijection product to vanish
     if any(not any(row) for row in matrix):
         return QPolynomial.zero()
@@ -202,9 +201,6 @@ def scalar_product(left: Word, right: Word) -> QPolynomial:
     """Vacuum scalar product of two creation words, by ``contract_terms``."""
     if len(left) != len(right):
         return QPolynomial.zero()
-    if len(left) > Q_PERMANENT_CAP:
-        raise CapExceeded(
-            f"scalar_product is capped at {Q_PERMANENT_CAP} letters per word, got {len(left)}"
-        )
+    refuse_above_cap(len(left), Q_PERMANENT_CAP, "a scalar product of words of {0} letters")
     return contract_terms([(left, 1)], [(right, 1)])
 

@@ -92,8 +92,10 @@ def test_exact_boundary_cases():
     assert value == pytest.approx(1.0 + 0.5 ** (1 / 9))
     with pytest.raises(ContractViolation):
         propagate_exact(1.5, 2)
-    with pytest.raises(ContractViolation):
-        propagate_exact(2.0, 3)
+    # the end of the range: a composite parameter of -1 has the root -1
+    assert propagate_exact(2.0, 3) == 2.0
+    with pytest.raises(ContractViolation, match="no real constituent root"):
+        propagate_exact(2.0, 2)
     with pytest.raises(ContractViolation):
         propagate_exact(0.0, 3)
 

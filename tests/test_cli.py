@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from oracles import pairwise_dp_scalar
 from test_composite import literal_classified
 
-from quonstat import QPolynomial, cli, composite, fock, preset_rep, random_rep
+from quonstat import QPolynomial, cli, composite, fock, preset_rep, random_rep, wick
 from quonstat.cli import COMMANDS, _parse_rep, main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -385,7 +385,7 @@ def test_gram_check_psd_needs_q(capsys):
 def test_gram_cap(capsys):
     code, _, err = run(capsys, "gram", "--labels", "a,b,c,d,e,f,g")
     assert code == 1
-    assert "capped" in err
+    assert "cap is 720" in err
 
 
 def test_weights(capsys):
@@ -570,42 +570,55 @@ def test_composite_contracts_each_product_once(monkeypatch, capsys, overlap, ful
     assert scalar_calls == [(tags, tags, (0, 0, []), start)] * full
 
 
-def _refuse_overlap_before_the_rep(monkeypatch, tmp_path, capsys, n, rep):
-    def no_law(spec):
-        raise AssertionError("exchange_law ran before the overlap cap was checked")
+def _refuse_before_the_work(monkeypatch, tmp_path, capsys, *argv):
+    def no_work(*args):
+        raise AssertionError("work ran before its cap was checked")
 
-    def no_rep(raw, n):
-        raise AssertionError("a rep was built before the overlap cap was checked")
-
-    monkeypatch.setattr(composite, "exchange_law", no_law)
-    monkeypatch.setattr(cli, "_parse_rep", no_rep)
+    # the overlap law, the rep parser and the contraction engine
+    for module, name in ((composite, "exchange_law"), (cli, "_parse_rep"),
+                         (wick, "contract_terms"), (fock, "scalar_product")):
+        monkeypatch.setattr(module, name, no_work)
     monkeypatch.chdir(tmp_path)
     Path("bad.tsv").write_text("not a rep\n")
-    return run(capsys, "composite", "--n", n, "--rep", rep, "--overlap")
+    Path("ones17.tsv").write_text(("\t".join(["1"] * 17) + "\n") * 17)
+    return run(capsys, *argv)
 
 
 def test_composite_overlap_past_its_cap_is_refused_before_the_law(
     monkeypatch, tmp_path, capsys
 ):
-    code, out, err = _refuse_overlap_before_the_rep(monkeypatch, tmp_path, capsys, "8", "sym")
+    code, out, err = _refuse_before_the_work(
+        monkeypatch, tmp_path, capsys, "composite", "--n", "8", "--rep", "sym", "--overlap"
+    )
     assert (code, out) == (1, "")
     assert err == "error: refusing work over S_16 (16! elements); cap is 8\n"
 
 
-@pytest.mark.parametrize("n, rep, group", [
-    ("5", "sym", "S_10 (10! elements)"),
-    ("9", "sym", "S_18 (18! elements)"),
+LABELS_17 = ",".join(f"x{i}" for i in range(17))
+
+
+# every cap refuses in one form, naming the size and the cap; the overlap
+# cases also show that the rep is not read first
+@pytest.mark.parametrize("argv, refused, cap", [
+    (("composite", "--n", "5", "--rep", "sym", "--overlap"), "work over S_10 (10! elements)", 8),
+    (("composite", "--n", "9", "--rep", "sym", "--overlap"), "work over S_18 (18! elements)", 8),
     # a bad rep file is not read, so the cap, not its parse error, is reported
-    ("5", "bad.tsv", "S_10 (10! elements)"),
+    (("composite", "--n", "5", "--rep", "bad.tsv", "--overlap"),
+     "work over S_10 (10! elements)", 8),
     # 2n has 4301 digits, past the interpreter's int-to-text limit
-    ("9" * 4300, "sym", "S_k for a k with too many digits to print"),
-], ids=["n5", "n9", "n5-bad-file", "n-4300-digits"])
+    (("composite", "--n", "9" * 4300, "--rep", "sym", "--overlap"),
+     "work over S_k for a k with too many digits to print", 8),
+    (("sp", "--left", LABELS_17, "--right", LABELS_17),
+     "a scalar product of words of 17 letters", 16),
+    (("qperm", "--matrix", "ones17.tsv"), "a q-permanent of 17 rows", 16),
+    (("gram", "--labels", "a,b,c,d,e,f,g"), "a Gram matrix of 5040 words", 720),
+], ids=["n5", "n9", "n5-bad-file", "n-4300-digits", "sp17", "qperm17", "gram7"])
 def test_composite_overlap_cap_names_s_2n_before_the_rep_is_read(
-    monkeypatch, tmp_path, capsys, n, rep, group
+    monkeypatch, tmp_path, capsys, argv, refused, cap
 ):
-    code, out, err = _refuse_overlap_before_the_rep(monkeypatch, tmp_path, capsys, n, rep)
+    code, out, err = _refuse_before_the_work(monkeypatch, tmp_path, capsys, *argv)
     assert (code, out) == (1, "")
-    assert err == f"error: refusing work over {group}; cap is 8\n"
+    assert err == f"error: refusing {refused}; cap is {cap}\n"
 
 
 def test_composite_one_term_rep_at_n10(tmp_path, capsys):
@@ -727,6 +740,9 @@ def test_large_epsilon_warning_is_one_stderr_line(tmp_path):
     # so a bad level stops the walk after the warnings of the levels above
     limits = tmp_path / "limits.tsv"
     limits.write_text("root\t-\t1\t0.5\tnear_bose\tsynthetic\n")
+    # epsilon = 2 ends the range of a record and of both rules
+    limits_2 = tmp_path / "limits_2.tsv"
+    limits_2.write_text("root\t-\t1\t2\tnear_fermi\tsyn\n")
     large = "warning: epsilon={} is large; first-order propagation is only honest for small deviations\n"
     chain = ("bounds", "chain", "--input", str(limits), "--path")
     two_levels = (
@@ -745,6 +761,12 @@ def test_large_epsilon_warning_is_one_stderr_line(tmp_path):
          large.format(0.5) + "error: chain entry 'b' has n < 1\n", ""),
         ((*chain, "nope,b:0"), 1,
          "error: species 'nope' does not resolve to a usable record\n", ""),
+        (("bounds", "propagate", "--epsilon", "2", "--n", "3", "--exact"), 0, "", "2.000e+00\n"),
+        (("bounds", "chain", "--path", "root,a:3", "--input", str(limits_2)), 0,
+         large.format(2.0),
+         "species\tn\tparity\tepsilon_first_order\tepsilon_exact\tproximity\n"
+         "root\t1\todd\t2.000000e+00\t2.000000e+00\tnear_fermi\n"
+         "a\t3\todd\t2.222222e-01\t2.000000e+00\tnear_fermi\n"),
     ]
     for argv, code, err, out in cases:
         result = subprocess.run(

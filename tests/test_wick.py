@@ -92,7 +92,7 @@ def test_oracle_q_permanent_is_capped_as_work_over_s_n():
 
 def test_scalar_product_cap_names_word_length():
     word = tuple(ModeLabel(i) for i in range(17))
-    with pytest.raises(CapExceeded, match="16 letters per word, got 17"):
+    with pytest.raises(CapExceeded, match="^refusing a scalar product of words of 17 letters; cap is 16$"):
         scalar_product(word, word)
 
 
