@@ -65,10 +65,12 @@ def _split_list(raw: str, entry: str) -> Iterator[tuple[str, str, str]]:
 
 
 def _parse_labels(raw: str) -> tuple[ModeLabel, ...]:
-    return tuple(
-        ModeLabel(index, tag) if sep else ModeLabel(tag)
-        for tag, sep, index in _split_list(raw, "label")
-    )
+    labels = []
+    for tag, sep, index in _split_list(raw, "label"):
+        if sep and not (tag and index):
+            raise ParseError(f"label {tag + sep + index!r} needs a tag and an index")
+        labels.append(ModeLabel(index, tag) if sep else ModeLabel(tag))
+    return tuple(labels)
 
 
 def _parse_rep(raw: str, n: int) -> RepCoefficients:

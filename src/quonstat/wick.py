@@ -15,10 +15,11 @@ but the norm of a dense rep, and the two-composite products of
 
 ``q_permanent`` evaluates the same weighted sum for an arbitrary square
 matrix by a dynamic program over subsets of used columns, with at most
-O(2^n * n) steps: a flat list holds one slot per column mask, and each
-row visits only the masks the previous row reached.  The engine and the
-DP hold each polynomial packed as one integer, in the codec that
-``qpoly`` owns, so a shift by q^j is one ``<<`` and a merge one ``+``.
+O(2^n * n) steps: a flat list holds one slot per column mask, and one
+pass reads the masks in ascending order, each pushing along the row its
+bit count names.  The engine and the DP hold each polynomial packed as
+one integer, in the codec that ``qpoly`` owns, so a shift by q^j is one
+``<<`` and a merge one ``+``.
 
 Both return exact `QPolynomial` values.  The brute-force enumeration of
 all n! pairings that checks them is a test oracle in ``tests/oracles.py``.
@@ -61,14 +62,18 @@ def q_permanent(matrix: Sequence[Sequence]) -> QPolynomial:
     by n! times the product of the largest row entries.
 
     The states live in a flat list of 2^n slots indexed by the column
-    mask.  A row walks a frontier, the masks the previous row reached: a
-    mask joins the next frontier when its slot turns nonzero, and a slot
-    is reset to 0 once pushed, so only two rows' states are live.  A row
-    lists every column, highest first, with its entry; walking a source
-    mask down that list, each used column adds one field width to a
-    pending shift, which is applied to the source at the next free column
-    with a nonzero entry.  So the source is shifted once per run of used
-    columns, and no free column counts the used ones above it.
+    mask, and one pass walks the masks in ascending numeric order.  A
+    mask only pushes into masks with one more bit set, which are larger
+    numbers, so ascending order is a topological order of the DP: when a
+    mask is read, every push into it has landed.  A mask with k bits set
+    has assigned rows 0..k-1, so it pushes along row k; a zero slot has
+    nothing to push, and a slot is reset to 0 once pushed, so it holds
+    its integer only until its turn.  A row lists every column, highest
+    first, with its entry; walking a source mask down that list, each
+    used column adds one field width to a pending shift, which is applied
+    to the source at the next free column with a nonzero entry.  So the
+    source is shifted once per run of used columns, and no free column
+    counts the used ones above it.
     """
     n = len(matrix)
     for row in matrix:
@@ -96,34 +101,23 @@ def q_permanent(matrix: Sequence[Sequence]) -> QPolynomial:
 
     slots = [0] * (1 << n)
     slots[0] = 1
-    frontier = [0]
-    for columns in rows:
-        reached = []
-        for mask in frontier:
-            value = slots[mask]
-            # a slot that cancelled to zero, or that was listed again
-            # after cancelling and being reached anew, has nothing to push
-            if not value:
+    for mask in range(len(slots) - 1):
+        value = slots[mask]
+        if not value:
+            continue
+        slots[mask] = 0
+        pending = 0
+        for bit, entry in rows[mask.bit_count()]:
+            if mask & bit:
+                pending += width
                 continue
-            slots[mask] = 0
-            pending = 0
-            for bit, entry in columns:
-                if mask & bit:
-                    pending += width
-                    continue
-                if not entry:
-                    continue
-                if pending:
-                    value <<= pending
-                    pending = 0
-                target = mask | bit
-                old = slots[target]
-                if not old:
-                    reached.append(target)
-                slots[target] = old + (value if entry == 1 else value * entry)
-        if not reached:
-            return QPolynomial.zero()
-        frontier = reached
+            if not entry:
+                continue
+            if pending:
+                value <<= pending
+                pending = 0
+            target = mask | bit
+            slots[target] = slots[target] + (value if entry == 1 else value * entry)
     return _unpack(slots[-1], width, denominator)
 
 

@@ -831,6 +831,9 @@ def test_a_leading_tab_is_an_empty_first_field(tmp_path, capsys, text, argv, mes
     (("bounds", "chain", "--path", ""), "empty chain entry in ''"),
     (("bounds", "chain", "--path", "O16, ,quark:3"), "empty chain entry in 'O16, ,quark:3'"),
     (("bounds", "chain", "--path", "O16,nucleon:1e3"), "bad constituent count in 'nucleon:1e3'"),
+    (("sp", "--left", "a:", "--right", "a"), "label 'a:' needs a tag and an index"),
+    (("gram", "--labels", "a,:1"), "label ':1' needs a tag and an index"),
+    (("sp", "--left", ":", "--right", "a"), "label ':' needs a tag and an index"),
 ])
 def test_comma_lists_refuse_empty_entries_and_bad_counts(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")

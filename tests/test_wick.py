@@ -244,7 +244,8 @@ def test_q_permanent_when_a_frontier_slot_cancels():
     assert q_permanent(block) == oracle_q_permanent(block) == QPolynomial.zero()
     rng = random.Random(5)
     for n in (6, 9, 12):
-        # block-diagonal: the cancelled slot is the only one its row reached
+        # block-diagonal: the cancelled slot is the only mask of its bit
+        # count that is pushed into, so no mask with more bits is reached
         diagonal = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
@@ -263,8 +264,8 @@ def test_q_permanent_when_a_frontier_slot_cancels():
                 assert expected == oracle_q_permanent(matrix)
             assert q_permanent(matrix) == expected
         assert q_permanent(diagonal) == QPolynomial.zero()
-    # a slot that cancels to zero and is then reached again in the same row
-    # is listed twice in the frontier; it must be pushed once
+    # pushed row by row, a slot of this matrix cancels to zero and is then
+    # pushed into again; whatever the order of pushes, it must be pushed once
     twice = [[1, 0, 1, -1], [0, 1, 0, 1], [-1, 1, 1, 1], [-1, 1, 1, 1]]
     assert q_permanent(twice) == oracle_q_permanent(twice)
 
