@@ -12,7 +12,7 @@ import math
 import os
 import sys
 import warnings
-from typing import Iterable, NamedTuple, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import ContractViolation, LimitsFormatError, read_rows
 from .record import Record
@@ -176,13 +176,12 @@ def load_bundled_limits() -> list[BoundRecord]:
     return ingest_limits(bundled_limits_path())
 
 
-class ChainRow(NamedTuple):
-    species: str
-    n: int                       # constituents per composite of the level above
-    parity: str                  # "even" / "odd" of n
-    epsilon_first_order: float
-    epsilon_exact: float
-    proximity: str
+class ChainRow(Record):
+    """One level of a constituent chain: the species, its n (constituents
+    per composite of the level above), the parity of n ("even" or "odd"),
+    the first-order and exact epsilon, and the proximity."""
+
+    __slots__ = ("species", "n", "parity", "epsilon_first_order", "epsilon_exact", "proximity")
 
 
 def derive_chain(

@@ -30,9 +30,9 @@ import math
 import os
 import sys
 import warnings
+from collections.abc import Iterator
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Iterator
 
 from . import bounds as bounds_mod
 from . import composite as composite_mod
@@ -53,15 +53,17 @@ def _float(raw: str) -> float:
 
 
 def _split_list(raw: str, entry: str) -> Iterator[tuple[str, str, str]]:
-    """Each comma entry of ``raw``, stripped and split at its first ':'
-    as by ``str.partition``; an empty entry is a ParseError naming it as
-    ``entry``.  Entries are yielded one by one, so an error in an earlier
-    entry is reported first."""
+    """Each comma entry of ``raw``, split at its first ':' as by
+    ``str.partition``, with both sides stripped, so 'a : 1' is 'a:1'; an
+    empty entry is a ParseError naming it as ``entry``.  Entries are
+    yielded one by one, so an error in an earlier entry is reported
+    first."""
     for token in raw.split(","):
         token = token.strip()
         if not token:
             raise ParseError(f"empty {entry} in {raw!r}")
-        yield token.partition(":")
+        head, sep, tail = token.partition(":")
+        yield head.rstrip(), sep, tail.lstrip()
 
 
 def _parse_labels(raw: str) -> tuple[ModeLabel, ...]:
@@ -232,7 +234,7 @@ def _cmd_bounds_chain(args) -> int:
     path = args.input if args.input else bounds_mod.bundled_limits_path()
     records = bounds_mod.ingest_limits(path)
     rows = bounds_mod.derive_chain(records, _parse_chain(args.path))
-    print("\t".join(bounds_mod.ChainRow._fields))
+    print("\t".join(bounds_mod.ChainRow.__slots__))
     for row in rows:
         print(
             f"{row.species}\t{row.n}\t{row.parity}\t"

@@ -40,7 +40,7 @@ c = n^2; ``two_composite_scalar`` forms it only when a whole block
 passes.
 """
 
-from typing import Hashable, NamedTuple, Sequence
+from collections.abc import Hashable, Sequence
 
 from .errors import ContractViolation, TheoremViolation, refuse_above_cap
 from .fock import StateVector, build_state, normalization_poly, state_scalar_product, tensor
@@ -72,11 +72,11 @@ class CompositeSpec(Record):
         self._set(n, internal_labels, rep)
 
 
-class TwoCompositeResult(NamedTuple):
-    direct: QPolynomial
-    exchange: QPolynomial
-    cross: QPolynomial
-    n: int
+class TwoCompositeResult(Record):
+    """The direct, exchange and cross components of a two-composite
+    scalar product of n-constituent composites."""
+
+    __slots__ = ("direct", "exchange", "cross", "n")
 
     @property
     def total(self) -> QPolynomial:

@@ -37,10 +37,10 @@ by Jacobi rotations, in plain Python floats.
 """
 
 import math
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from itertools import repeat
 from operator import add, itemgetter, lshift, mul
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     DEFAULT_ENUM_CAP,
@@ -229,9 +229,11 @@ def _finite_q(q_value: float) -> float:
     return float(q_value)
 
 
-class GramMatrix(NamedTuple):
-    words: tuple[Word, ...]
-    entries: tuple[tuple[QPolynomial, ...], ...]
+class GramMatrix(Record):
+    """The words of a basis and the scalar products of every pair, as
+    rows of `QPolynomial`."""
+
+    __slots__ = ("words", "entries")
 
     @property
     def dimension(self) -> int:
@@ -326,13 +328,13 @@ def permutation_basis(labels: Sequence[ModeLabel]) -> list[Word]:
     ]
 
 
-class PsdReport(NamedTuple):
-    passed: bool
-    min_eigenvalue: float
-    dimension: int
-    q_value: float
-    q_in_range: bool
-    witness: Optional[str]  # on failure, the first irrep whose block holds the minimum
+class PsdReport(Record):
+    """Verdict of ``psd_report``: whether the minimum eigenvalue passed,
+    that minimum, the matrix dimension, q and whether q lies in [-1, 1];
+    on failure, ``witness`` names the first irrep whose block holds the
+    minimum, else it is None."""
+
+    __slots__ = ("passed", "min_eigenvalue", "dimension", "q_value", "q_in_range", "witness")
 
 
 def psd_report(labels: Sequence[ModeLabel], q_value: float) -> PsdReport:
@@ -420,8 +422,9 @@ def _irrep_block(shape: tuple[int, ...], x: float) -> list[list[float]]:
     orthogonal form and a positive diagonal D, so B_ab B_ba = O_ab^2 and
     the block returned, sign(B_ab) sqrt(B_ab B_ba) for a < b mirrored
     below the diagonal, is the symmetric O up to rounding."""
-    dimension, exact = seminormal_form(shape)
-    generators = [(list(map(float, d)), p, list(map(float, c))) for d, p, c in exact]
+    form = seminormal_form(shape)
+    dimension = form.dimension
+    generators = [(list(map(float, d)), p, list(map(float, c))) for d, p, c in form.generators]
     block = [[float(a == b) for b in range(dimension)] for a in range(dimension)]
     m = max(1.0, abs(x))
     for k in range(2, len(generators) + 2):

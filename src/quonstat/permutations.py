@@ -16,16 +16,13 @@ so they stay meaningful when labels repeat.
 import bisect
 import functools
 import math
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import permutations as _itertools_permutations
-from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ContractViolation, refuse_above_cap
 from .qpoly import Coefficient, _exact
 from .record import Record
-
-if TYPE_CHECKING:
-    import random
 
 Permutation = tuple[int, ...]
 
@@ -156,12 +153,12 @@ def random_rep(n: int, rng: "random.Random") -> RepCoefficients:
             return RepCoefficients(n=n, coeffs=coeffs, label="random")
 
 
-class CharacterTable(NamedTuple):
-    n: int
-    # (cycle type, class size) per conjugacy class
-    classes: tuple[tuple[tuple[int, ...], int], ...]
-    # (label, dimension, character value per class) per irrep
-    irreps: tuple[tuple[str, int, tuple[int, ...]], ...]
+class CharacterTable(Record):
+    """Character table of S_n: ``classes`` holds (cycle type, class
+    size) per conjugacy class, ``irreps`` (label, dimension, character
+    value per class) per irrep."""
+
+    __slots__ = ("n", "classes", "irreps")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -273,9 +270,11 @@ def character_table(n: int) -> CharacterTable:
 Generator = tuple[tuple[Coefficient, ...], tuple[int, ...], tuple[Coefficient, ...]]
 
 
-class SeminormalForm(NamedTuple):
-    dimension: int
-    generators: tuple[Generator, ...]  # s_1 .. s_{n-1}
+class SeminormalForm(Record):
+    """Young's seminormal form of one irrep: its dimension and one
+    `Generator` for each of s_1 .. s_{n-1}."""
+
+    __slots__ = ("dimension", "generators")
 
 
 @functools.lru_cache(maxsize=None)

@@ -28,13 +28,13 @@ Fraction(3, 2)
 """
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
 
 from .errors import ContractViolation
 from .record import Record
 
-Coefficient = Union[int, Fraction]
+Coefficient = int | Fraction
 
 
 def _exact(value) -> Coefficient:

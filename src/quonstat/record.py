@@ -1,4 +1,13 @@
-"""Base class of the package's validating value records."""
+"""Base class of the package's value records.
+
+Every value the package returns or validates, except a `wick.ModeLabel`,
+is a `Record`: the validating records (`QPolynomial`, `StateVector`,
+`RepCoefficients`, `CompositeSpec`, `BoundRecord`), which check their
+arguments in their own ``__init__``, and the result records (`GramMatrix`,
+`PsdReport`, `TwoCompositeResult`, `ChainRow`, `CharacterTable`,
+`SeminormalForm`), which take their fields as given through the
+constructor of `Record` itself.
+"""
 
 from types import MappingProxyType
 
@@ -6,14 +15,29 @@ from types import MappingProxyType
 class Record:
     """Immutable value record.
 
-    A subclass lists its fields as ``__slots__``, in constructor order,
-    and its ``__init__`` validates the arguments and sets the fields once
-    with ``_set``, which stores a dict field as a read-only mapping proxy.
-    Equality, hashing and repr go by the fields in that order, as for a
-    frozen dataclass; copying and pickling call the constructor again.
+    A subclass lists its fields as ``__slots__``, in constructor order.
+    The constructor here binds positional values, then keywords, in that
+    order, and refuses a missing or unknown field with TypeError; a
+    validating subclass has its own ``__init__``, which checks the
+    arguments and sets the fields once with ``_set``.  ``_set`` stores a
+    dict field as a read-only mapping proxy.  Equality, hashing and repr
+    go by the fields in that order, as for a frozen dataclass; copying
+    and pickling call the constructor again.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values, **fields):
+        cls, names = type(self).__name__, self.__slots__
+        if len(values) > len(names):
+            raise TypeError(f"{cls} takes {len(names)} fields, got {len(values)}")
+        for name in names[len(values):]:
+            if name not in fields:
+                raise TypeError(f"{cls} is missing the field {name!r}")
+            values += (fields.pop(name),)
+        if fields:
+            raise TypeError(f"{cls} got an unknown or repeated field {next(iter(fields))!r}")
+        self._set(*values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

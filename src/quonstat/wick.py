@@ -26,23 +26,30 @@ all n! pairings that checks them is a test oracle in ``tests/oracles.py``.
 """
 
 import math
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .errors import Q_PERMANENT_CAP, ContractViolation, refuse_above_cap
 from .qpoly import QPolynomial, _clear_denominators, _field_width, _unpack
 
 
-class ModeLabel(NamedTuple):
+class ModeLabel(namedtuple("ModeLabel", "index tag", defaults=(None,))):
     """Mode of one creation operator.
 
     ``index`` is an opaque internal quantum number; ``tag`` optionally
     names the composite the operator belongs to (a center-of-mass
-    stand-in).  Two labels contract iff both fields are equal;
-    tuple semantics keep that comparison cheap in the inner loops.
+    stand-in).  Two labels contract iff both fields are equal.
+
+    Unlike every other value type of the package, a label is a tuple, not
+    a `record.Record`: every word is a tuple of labels that is hashed as a
+    dict key, so the tuple's C-level hash and equality sit in the inner
+    loops.  With a label as a `Record`, ``composite --n 4 --rep sym
+    --overlap`` took 89 ms in process instead of 20 ms, and ``gram
+    --labels a,a,b,b,c,d`` 443 ms instead of 316 ms (minimum of 15 runs,
+    one CPU, Python 3.11).
     """
 
-    index: Hashable
-    tag: Hashable = None
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.tag}:{self.index}" if self.tag is not None else str(self.index)

@@ -839,6 +839,23 @@ def test_comma_lists_refuse_empty_entries_and_bad_counts(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("left", ["a: 1", "a :1", " a : 1 "])
+def test_spaces_beside_a_label_colon_are_stripped(capsys, left):
+    assert run(capsys, "sp", "--left", left, "--right", "a:1") == (0, "1\n", "")
+
+
+def test_spaces_beside_a_chain_colon_are_stripped(capsys):
+    spaced = run(capsys, "bounds", "chain", "--path", "O16, nucleon : 16")
+    assert spaced == run(capsys, "bounds", "chain", "--path", "O16,nucleon:16")
+    assert spaced[0] == 0
+
+
+def test_a_label_of_spaces_after_its_colon_has_no_index(capsys):
+    assert run(capsys, "sp", "--left", "a : ", "--right", "a") == (
+        2, "", "error: label 'a:' needs a tag and an index\n"
+    )
+
+
 def test_bounds_chain_refuses_a_count_below_one(capsys):
     assert run(capsys, "bounds", "chain", "--path", "O16,nucleon:0") == (
         1, "", "error: chain entry 'nucleon' has n < 1\n"
@@ -937,6 +954,16 @@ def test_cli_import_leaves_numpy_unloaded():
     assert "numpy" not in _loaded_after(argv=gram)
     assert "numpy" not in _loaded_after(argv=[*gram, "--check-psd"])
     assert "numpy" not in _loaded_after(argv=["gram", "--labels", "a,a,b,c", "--q", "0.5", "--check-psd"])
+
+
+def test_cli_import_leaves_typing_unloaded():
+    # annotations come from collections.abc and builtins; -S keeps a site
+    # hook from loading typing before the package does
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, quonstat.cli; print('typing' in sys.modules)"],
+        env=_child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
 
 
 def test_no_command_loads_a_start_up_excluded_module(tmp_path):

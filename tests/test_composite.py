@@ -379,27 +379,33 @@ def _on_split(mutate):
     return patch
 
 
+def _replaced(result, **changes):
+    """``result`` rebuilt from its fields, with ``changes`` in place."""
+    fields = {name: getattr(result, name) for name in result.__slots__}
+    return type(result)(**{**fields, **changes})
+
+
 # Each misrouting of the split's two block terms, on the aligned or the
 # swapped product, or of the block swap itself: the attribute of
 # ``composite`` it patches, the patch made from the original, and the
 # trip-wire of exchange_law it must fire.
 MISROUTES = {
     "swap_both": (
-        "_split", _on_split(lambda r, swapped: r._replace(direct=r.exchange, exchange=r.direct)),
+        "_split", _on_split(lambda r, swapped: _replaced(r, direct=r.exchange, exchange=r.direct)),
         "direct component does not equal the squared normalization polynomial",
     ),
     "swap_swapped": (
         "_split", _on_split(
-            lambda r, swapped: r._replace(direct=r.exchange, exchange=r.direct) if swapped else r
+            lambda r, swapped: _replaced(r, direct=r.exchange, exchange=r.direct) if swapped else r
         ),
         "exchange component is not q^(n^2) times the direct component",
     ),
     "aligned_passes_both": (
-        "_split", _on_split(lambda r, swapped: r if swapped else r._replace(exchange=r.direct)),
+        "_split", _on_split(lambda r, swapped: r if swapped else _replaced(r, exchange=r.direct)),
         "aligned tags produced non-direct components",
     ),
     "swapped_passes_both": (
-        "_split", _on_split(lambda r, swapped: r._replace(direct=r.exchange) if swapped else r),
+        "_split", _on_split(lambda r, swapped: _replaced(r, direct=r.exchange) if swapped else r),
         "swapped tags produced non-exchange components",
     ),
     "identity_block_swap": (

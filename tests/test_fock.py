@@ -535,7 +535,8 @@ def test_failing_report_names_the_irrep_of_the_minimum():
         assert report.min_eigenvalue == pytest.approx(minimum, rel=1e-12)
     assert psd_report("ab", 0.5).witness is None
     # [[1+q, 1+q], [1+q, 1+q]]: the negative sign block 1 - q is absent
-    assert psd_report("aa", 1.7)[:2] == (True, 0.0)
+    report = psd_report("aa", 1.7)
+    assert (report.passed, report.min_eigenvalue) == (True, 0.0)
 
 
 @pytest.mark.parametrize("word, repeats, name", [

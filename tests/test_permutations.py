@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from quonstat import (
     CapExceeded,
+    CharacterTable,
     ContractViolation,
     RepCoefficients,
     all_permutations,
@@ -24,7 +25,13 @@ from quonstat import (
     seminormal_form,
     sign,
 )
-from quonstat.permutations import check_permutation, dominates, irrep_name, partitions
+from quonstat.permutations import (
+    SeminormalForm,
+    check_permutation,
+    dominates,
+    irrep_name,
+    partitions,
+)
 
 from oracles import CHARACTER_TABLES
 
@@ -190,7 +197,7 @@ def test_character_table_names_irreps_by_partition_above_four():
 
 def test_character_table_unsupported():
     # S_1: one class and the trivial irrep
-    assert character_table(1) == (1, (((1,), 1),), (("trivial", 1, (1,)),))
+    assert character_table(1) == CharacterTable(1, (((1,), 1),), (("trivial", 1, (1,)),))
     with pytest.raises(ContractViolation, match="n must be >= 1"):
         character_table(0)
     # the S_n enumeration cap is the only upper limit
@@ -287,7 +294,7 @@ def test_seminormal_couplings_multiply_to_one_minus_inverse_r_squared():
     # 1; a tableau whose s_i T is not standard has 1/r = +-1 and no coupling
     # (2, 1): rows (0, 0, 1) and (0, 1, 0); on s_2 the coupling is 1 where
     # 2 sits in a higher row than 3, the first tableau
-    assert seminormal_form((2, 1)) == (
+    assert seminormal_form((2, 1)) == SeminormalForm(
         2,
         (
             ((1, -1), (0, 1), (0, 0)),

@@ -23,6 +23,7 @@ from quonstat import (
     TwoCompositeResult,
     preset_rep,
 )
+from quonstat.record import Record
 
 A, B = ModeLabel("a"), ModeLabel("b")
 ONE_PLUS_Q = QPolynomial([1, 1])
@@ -88,6 +89,20 @@ def test_records_holding_polynomials_deep_copy_and_pickle(cls):
     record = cls(**dict(RECORDS)[cls])
     assert copy.deepcopy(record) == record
     assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_every_value_class_but_the_label_is_a_record_and_not_a_tuple():
+    for cls, fields in RECORDS:
+        record = cls(**fields)
+        assert isinstance(record, Record) and not isinstance(record, tuple), cls
+    assert isinstance(ModeLabel("a"), tuple)
+    fields = dict(RECORDS)[ChainRow]
+    with pytest.raises(TypeError, match="missing the field 'proximity'"):
+        ChainRow(**{name: value for name, value in fields.items() if name != "proximity"})
+    with pytest.raises(TypeError, match="unknown or repeated field 'charge'"):
+        ChainRow(**fields, charge=0)
+    with pytest.raises(TypeError, match="takes 6 fields, got 7"):
+        ChainRow(*fields.values(), 0)
 
 
 def test_validating_records_keep_their_defaults_and_hash():
